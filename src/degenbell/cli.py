@@ -42,7 +42,9 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical form: reduced, 'p/q' with q >= 1, bare 'p' when q == 1."""
-    return str(Fraction(value))
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return str(value)
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -120,6 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# verify flags each identity never reads; passing one is a usage error.
+_VERIFY_UNUSED_FLAGS = {
+    "spivey-bell": ("r", "max_k"),
+    "spivey-rbell": ("max_k",),
+    "normal-order": ("max_k",),
+    "commutation": ("r",),
+}
+
+
 def _single_lambda(args, parser) -> Fraction:
     if not args.lambdas:
         parser.error("--lambda is required")
@@ -133,8 +144,9 @@ def _triangle_output(tri, max_n: int):
     csv_lines = ["n,k,value"]
     for n in range(max_n + 1):
         for k, value in enumerate(tri.row(n)):
-            records.append({"n": n, "k": k, "value": format_rational(value)})
-            csv_lines.append(f"{n},{k},{format_rational(value)}")
+            text = format_rational(value)
+            records.append({"n": n, "k": k, "value": text})
+            csv_lines.append(f"{n},{k},{text}")
     return records, csv_lines
 
 
@@ -143,11 +155,9 @@ def _poly_output(polys):
     csv_lines = ["n,k,value"]
     for n, p in polys:
         at_one = format_rational(p(1))
-        records.append(
-            {"n": n, "coefficients": [format_rational(c) for c in p.coeffs], "value": at_one}
-        )
-        for k, c in enumerate(p.coeffs):
-            csv_lines.append(f"{n},{k},{format_rational(c)}")
+        texts = [format_rational(c) for c in p.coeffs]
+        records.append({"n": n, "coefficients": texts, "value": at_one})
+        csv_lines.extend(f"{n},{k},{text}" for k, text in enumerate(texts))
         csv_lines.append(f"{n},phi1,{at_one}")
     return records, csv_lines
 
@@ -216,6 +226,9 @@ def run(argv=None) -> int:
     lambda_strs = [format_rational(v) for v in lambdas]
 
     if args.command == "verify":
+        for flag in _VERIFY_UNUSED_FLAGS[args.identity]:
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag.replace('_', '-')} is not used by --identity {args.identity}")
         if args.identity == "spivey-bell":
             m_max = 6 if args.max_m is None else args.max_m
             n_max = 6 if args.max_n is None else args.max_n
@@ -272,3 +285,7 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> None:
     raise SystemExit(run(argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,24 +19,43 @@ from .polyalg import (
 )
 
 
+def _require_int(name: str, value) -> None:
+    """Reject anything but an int, bools included, so no float or bool ever
+    reaches a triangle or its cache key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 class StirlingTriangle:
     """Memoized triangle for a fixed (lam, r) pair.
 
     Rows follow the recurrence T(n+1, k) = T(n, k-1) + (k + r - n*lam) T(n, k)
     with T(0, 0) = 1, and are grown on demand. Growth happens under a lock;
     published rows are immutable tuples, safe to share across threads.
+
+    Growth runs on integers. T(m, k) is a polynomial in lam of degree at
+    most m - k with integer coefficients, so with lam = p/q the scaled entry
+    V(m, k) = q^(m-k) T(m, k) is an integer (and so is q^m T(m, k)). It obeys
+    V(m+1, k) = V(m, k-1) + (q(k+r) - m p) V(m, k). Only the newest integer
+    row and the powers of q are kept; each row is published once as
+    Fractions V/q^(m-k).
     """
 
     def __init__(self, lam, r: int = 0):
+        _require_int("r", r)
         if r < 0:
             raise ValueError("r must be nonnegative")
         self.lam = as_rational(lam)
         self.r = r
         self._rows = [(Fraction(1),)]
+        self._frontier = [1]  # V(m, .) for the last published row m
+        self._powers = [1]  # q^0 .. q^m, kept only when q > 1
         self._lock = threading.Lock()
 
     def entry(self, n: int, k: int) -> Fraction:
         """Entry (n, k); 0 for k < 0 or k > n."""
+        _require_int("n", n)
+        _require_int("k", k)
         if n < 0:
             raise ValueError("n must be nonnegative")
         if k < 0 or k > n:
@@ -46,6 +65,7 @@ class StirlingTriangle:
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         """The full row (entries k = 0..n)."""
+        _require_int("n", n)
         if n < 0:
             raise ValueError("n must be nonnegative")
         self._grow(n)
@@ -55,18 +75,17 @@ class StirlingTriangle:
         if n < len(self._rows):
             return
         with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows) - 1
-                prev = self._rows[m]
-                row = []
-                for k in range(m + 2):
-                    val = Fraction(0)
-                    if 1 <= k <= m + 1:
-                        val += prev[k - 1]
-                    if k <= m:
-                        val += (k + self.r - m * self.lam) * prev[k]
-                    row.append(val)
-                self._rows.append(tuple(row))
+            p, q = self.lam.numerator, self.lam.denominator
+            v, powers = self._frontier, self._powers
+            for m in range(len(self._rows) - 1, n):
+                base = q * self.r - m * p
+                v = [a + (q * k + base) * b for k, (a, b) in enumerate(zip([0] + v, v + [0]))]
+                if q == 1:  # integer lam: V is the row itself, no reduction needed
+                    self._rows.append(tuple(map(Fraction, v)))
+                else:
+                    powers.append(powers[-1] * q)
+                    self._rows.append(tuple([Fraction(c, d) for c, d in zip(v, reversed(powers))]))
+                self._frontier = v
 
 
 _triangles: dict[tuple[Fraction, int], StirlingTriangle] = {}
@@ -75,6 +94,7 @@ _cache_lock = threading.Lock()
 
 def triangle(lam, r: int = 0) -> StirlingTriangle:
     """Process-wide memoized triangle for (lam, r)."""
+    _require_int("r", r)
     key = (as_rational(lam), r)
     tri = _triangles.get(key)
     if tri is None:
@@ -89,6 +109,8 @@ def stirling2_degenerate(n: int, k: int, lam) -> Fraction:
     Computed by the triangular recurrence; 0 for k > n and, when n >= 1,
     for k = 0. At lam = 0 these are the classical second-kind numbers.
     """
+    _require_int("n", n)
+    _require_int("k", k)
     return triangle(lam, 0).entry(n, k)
 
 
@@ -100,6 +122,8 @@ def r_stirling2_degenerate(n: int, k: int, r: int, lam) -> Fraction:
     re-expanding with x*(x)_k = (x)_{k+1} + k*(x)_k; its agreement with the
     independent basis expansion is enforced by the test suite.
     """
+    _require_int("n", n)
+    _require_int("k", k)
     return triangle(lam, r).entry(n, k)
 
 
@@ -111,6 +135,8 @@ def stirling_via_basis_expansion(n: int, r: int, lam) -> list[Fraction]:
     peeling the leading coefficient from degree n down to 0 is exact. This
     never touches the triangle recurrences and serves as their oracle.
     """
+    _require_int("n", n)
+    _require_int("r", r)
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
     lam = as_rational(lam)
@@ -129,6 +155,7 @@ def stirling_via_basis_expansion(n: int, r: int, lam) -> list[Fraction]:
 
 def bell_poly_degenerate(n: int, lam) -> Poly:
     """Row n of the (lam, 0) triangle read as a polynomial: sum_k T(n,k) x^k."""
+    _require_int("n", n)
     return Poly(triangle(lam, 0).row(n))
 
 
@@ -139,6 +166,7 @@ def bell_number_degenerate(n: int, lam) -> Fraction:
 
 def rbell_poly_degenerate(n: int, r: int, lam) -> Poly:
     """Row n of the (lam, r) triangle read as a polynomial: sum_k T(n,k) x^k."""
+    _require_int("n", n)
     return Poly(triangle(lam, r).row(n))
 
 
@@ -153,6 +181,7 @@ def restricted_growth_strings(n: int):
     by at most one, so each partition appears exactly once. For n = 0 the
     single empty string encodes the empty partition.
     """
+    _require_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -177,6 +206,7 @@ def bell_number_classical_bruteforce(n: int) -> int:
     Exponential-time oracle for the lam = 0, r = 0 corner; n > 10 is rejected
     to flag misuse of the enumeration path.
     """
+    _require_int("n", n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > _BRUTE_FORCE_LIMIT:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import degenbell
 from degenbell.cli import format_rational, parse_rational, run
 from degenbell.report import VerificationReport
 from degenbell.triangles import rbell_poly_degenerate, triangle
@@ -178,3 +183,37 @@ def test_negative_bound_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["bell", "--max-n", "-3", "--lambda", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "identity,flags",
+    [
+        ("spivey-bell", ["--r", "7"]),
+        ("spivey-bell", ["--max-k", "3"]),
+        ("spivey-bell", ["--r", "7", "--max-k", "3"]),
+        ("spivey-rbell", ["--max-k", "3"]),
+        ("normal-order", ["--max-k", "3"]),
+        ("commutation", ["--r", "2"]),
+    ],
+)
+def test_verify_rejects_flags_the_identity_never_reads(identity, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--identity", identity, *flags, "--lambda", "0"])
+    assert exc.value.code == 2
+    assert "is not used by --identity" in capsys.readouterr().err
+
+
+def _run_module(module, *argv):
+    src = str(Path(degenbell.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize("module", ["degenbell", "degenbell.cli"])
+def test_module_entry_points_run_the_cli(module):
+    done = _run_module(module, "stirling", "--max-n", "3", "--lambda", "0", "--format", "csv")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-4:] == ["3,0,0", "3,1,1", "3,2,3", "3,3,1"]
+    assert _run_module(module, "frobnicate").returncode == 2

@@ -1,0 +1,58 @@
+"""Golden CLI tables: sha256 digests of stirling/rstirling/bell/rbell output.
+
+The digests pin every byte of the csv and json tables for lambdas that cover
+zero, a positive integer, a small fraction and a large negative fraction, so
+any change to how rows are grown or formatted must reproduce them exactly.
+"""
+
+import hashlib
+
+import pytest
+
+from degenbell.cli import run
+
+MAX_N = "40"
+EXTRA = {"stirling": [], "rstirling": ["--r", "3"], "bell": [], "rbell": ["--r", "3"]}
+
+GOLDEN = {
+    ("stirling", "csv", "0"): "145e1357cd0ad3022f39dbab1ec98977fc75a95c90098bbf8a7542d0a3165b1c",
+    ("stirling", "csv", "3"): "fdea7138afacfc3142666e2395f056c324e4a925636a4215fd98a0695c9e9d6b",
+    ("stirling", "csv", "-2/3"): "4e51033e701bd3bbf040baed74c511e8e828bf6bbf4ed4cc83d3c6c4ab6d94d1",
+    ("stirling", "csv", "-10744/8077"): "6a447a58d9b66995cc8ca81e3c4ab64631414bfdd1b39c8b6ad1c7936380c234",
+    ("stirling", "json", "0"): "c9fe786599b73386674a085c53bd9265773fbfd05b2c383ff9cd2fcbca291c13",
+    ("stirling", "json", "3"): "39a30d96bcd758d8a6034bf85909d7b948426f6e1b5ff541ef68daf4f2a75928",
+    ("stirling", "json", "-2/3"): "b42acc7d8f9035d03f348c0f425f2b25bf2bbfbb540cadfa611e2ad2c0066344",
+    ("stirling", "json", "-10744/8077"): "d5135a658f893754d89ca747aedee876464140e8439d56e12821ea68fd7636e0",
+    ("rstirling", "csv", "0"): "696036cce8c367678bd082e02c9b192682ba5a3ca3a237f5677cc3e70a482723",
+    ("rstirling", "csv", "3"): "7417b918eb7b91f9536fba6a1e3d40f352e796533f0902258c3516955df3d540",
+    ("rstirling", "csv", "-2/3"): "f1acab4f5c0868167e64e3831471a006f50021465bc719103104fc96d47b403e",
+    ("rstirling", "csv", "-10744/8077"): "7c94a58de00e2011b5cc2392bbd935d82b5c50e9d0dfbf192d54dbe33f3a08bb",
+    ("rstirling", "json", "0"): "b17bef69e132d3d972f7814b7a8677dfae635779ea28a8d0402953068458f5be",
+    ("rstirling", "json", "3"): "c40c6d2673da3bc07cbd312477329de70fc58ce6a523c3b98cc6da5f6573354e",
+    ("rstirling", "json", "-2/3"): "b2db2460027a39d543b4b90481bced0956cee5fafc00aa22f594d9c1191431e1",
+    ("rstirling", "json", "-10744/8077"): "42b372820c638ea4af61b632c7c97d8e884725cee463d34d56c9f253b42bd08d",
+    ("bell", "csv", "0"): "ea6a58e817e4d1ac26aba24da653c33873002d823b49827f4b9a7585f2a507be",
+    ("bell", "csv", "3"): "87345b87b06b4d5fe935b31e25b1331a9412993061738741bb03732878e8d68a",
+    ("bell", "csv", "-2/3"): "8e5df5646a94b81403d2644ecf0cc80b6008e35dc169b542b9482b80e12ed488",
+    ("bell", "csv", "-10744/8077"): "131ce8e81a90f0578832ec7e9830b33d578fe2f1694fddbd955bbba6a1ece9fe",
+    ("bell", "json", "0"): "1895a84c06ab760c423f4d64eb4a2bc9e4a31b3bfe232b7106651c5674b08738",
+    ("bell", "json", "3"): "92eab43dc4d976ec00e605cd03a3ccca1d9edeea22e14c2d9ae710988692d10f",
+    ("bell", "json", "-2/3"): "5d3623f140689b252907ccdd765fd8e3bdd2ab5931947827c5ac3ac67aefc45c",
+    ("bell", "json", "-10744/8077"): "0a8eb27946efd4d699207a1d8fedca1a82431cce69fe16f7e64196ab95683f56",
+    ("rbell", "csv", "0"): "1d7dc2967899eb2f35f97bfb33fe13b42a5f2b051c918134ba96f5c74ddade89",
+    ("rbell", "csv", "3"): "aae4e62170b927bcb32e716064b13d6fd29c7d022c79639e9e61ecadfcdd37bd",
+    ("rbell", "csv", "-2/3"): "d4a782b6f4dc8b56fa24761e98a2fbc0bb6aadc55930d153705afcc48aaedfa4",
+    ("rbell", "csv", "-10744/8077"): "55f94522bc00175a89a60431acc47aac7f30f291415c9366c0844e9e5547b462",
+    ("rbell", "json", "0"): "fe62c5a32ebd45c895ffb3fc4603ef7a6cc578ca48edb7817bd0bdf4158f1b9f",
+    ("rbell", "json", "3"): "a87de9c2c124a57ff2dec4ed2f85449be88524be53ff862fb8f3a338000534c7",
+    ("rbell", "json", "-2/3"): "d4acf0092ae58bb6294e69b1e44cde9ece25d34238557c17aa35512407da99e8",
+    ("rbell", "json", "-10744/8077"): "b2832988a377217198ef8bd3833675ca4b34cc31b82b4943dfe1651533bb0036",
+}
+
+
+@pytest.mark.parametrize("command,fmt,lam", sorted(GOLDEN))
+def test_table_output_matches_golden_digest(command, fmt, lam, tmp_path):
+    path = tmp_path / "table"
+    argv = [command, "--max-n", MAX_N, *EXTRA[command], f"--lambda={lam}", "--format", fmt]
+    assert run(argv + ["--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(command, fmt, lam)]

@@ -1,8 +1,14 @@
+import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from degenbell import triangles
 from degenbell.polyalg import (
     Poly,
     degenerate_falling_eval,
@@ -201,3 +207,95 @@ def test_triangle_rejects_negative():
 def test_shared_cache_returns_same_instance():
     assert triangle(F(1, 2), 2) is triangle(F(1, 2), 2)
     assert triangle(F(1, 2), 2) is not triangle(F(1, 2), 1)
+
+
+# lam = p/q over a range that covers q = 1 (integers, zero) and negative p.
+lambdas = st.builds(F, st.integers(-40, 40), st.integers(1, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=lambdas, r=st.integers(0, 4), n=st.integers(0, 25))
+@example(lam=F(-3), r=4, n=25)
+@example(lam=F(-10744, 8077), r=3, n=25)
+def test_integer_kernel_matches_basis_expansion(lam, r, n):
+    row = triangle(lam, r).row(n)
+    assert list(row) == stirling_via_basis_expansion(n, r, lam)
+    assert all(type(c) is F for c in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=lambdas, r=st.integers(0, 4), n=st.integers(0, 25))
+def test_rows_grown_at_once_equal_rows_grown_one_by_one(lam, r, n):
+    at_once = StirlingTriangle(lam, r)
+    at_once.row(n)
+    one_by_one = StirlingTriangle(lam, r)
+    for m in range(n + 1):
+        assert one_by_one.row(m) == at_once.row(m)
+        assert all(type(c) is F for c in one_by_one.row(m))
+
+
+NOT_INTS = [1.5, 2.0, True, False, F(1), "1", None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_entry_points_reject_non_int_indices(bad):
+    calls = [
+        lambda: StirlingTriangle(F(1, 2), bad),
+        lambda: triangle(F(1, 2), bad),
+        lambda: triangle(F(1, 2), 1).row(bad),
+        lambda: triangle(F(1, 2), 1).entry(bad, 0),
+        lambda: triangle(F(1, 2), 1).entry(2, bad),
+        lambda: stirling2_degenerate(bad, 1, 0),
+        lambda: stirling2_degenerate(3, bad, 0),
+        lambda: r_stirling2_degenerate(bad, 1, 1, 0),
+        lambda: r_stirling2_degenerate(3, bad, 1, 0),
+        lambda: r_stirling2_degenerate(3, 1, bad, 0),
+        lambda: stirling_via_basis_expansion(bad, 0, 0),
+        lambda: stirling_via_basis_expansion(2, bad, 0),
+        lambda: bell_poly_degenerate(bad, 0),
+        lambda: bell_number_degenerate(bad, 0),
+        lambda: rbell_poly_degenerate(bad, 1, 0),
+        lambda: rbell_poly_degenerate(2, bad, 0),
+        lambda: list(restricted_growth_strings(bad)),
+        lambda: bell_number_classical_bruteforce(bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_float_r_never_reaches_the_cache():
+    before = dict(triangles._triangles)
+    with pytest.raises(TypeError):
+        r_stirling2_degenerate(3, 1, 1.5, F(1, 2))
+    with pytest.raises(TypeError):
+        stirling2_degenerate(True, 1, F(7, 11))
+    assert triangles._triangles == before
+
+
+def test_concurrent_growth_matches_sequential_growth():
+    lam, r, top = F(-5, 7), 2, 60
+    expected = [StirlingTriangle(lam, r).row(n) for n in range(top + 1)]
+    shared = StirlingTriangle(lam, r)
+    mismatches = []
+
+    def reader(seed):
+        order = list(range(top + 1))
+        random.Random(seed).shuffle(order)
+        for n in order:
+            if shared.row(n) != expected[n]:
+                mismatches.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    assert len(shared._rows) == top + 1

@@ -1,8 +1,12 @@
-"""Golden CLI tables: sha256 digests of stirling/rstirling/bell/rbell output.
+"""Golden CLI output: sha256 digests of every subcommand's bytes.
 
-The digests pin every byte of the csv and json tables for lambdas that cover
-zero, a positive integer, a small fraction and a large negative fraction, so
-any change to how rows are grown or formatted must reproduce them exactly.
+The table digests pin every byte of the csv and json stirling/rstirling/
+bell/rbell tables for lambdas that cover zero, a positive integer, a small
+fraction and a large negative fraction, so any change to how rows are grown
+or formatted must reproduce them exactly. The report digests pin the stdout
+of each verify identity at its default grid, the classical-powers branch of
+spivey-rbell, and oracle-check at its defaults, so a refactor of the
+identities or the routes must keep every report byte, checked count included.
 """
 
 import hashlib
@@ -56,3 +60,38 @@ def test_table_output_matches_golden_digest(command, fmt, lam, tmp_path):
     argv = [command, "--max-n", MAX_N, *EXTRA[command], f"--lambda={lam}", "--format", fmt]
     assert run(argv + ["--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[(command, fmt, lam)]
+
+
+REPORT_COMMANDS = {
+    "spivey-bell": ["verify", "--identity", "spivey-bell"],
+    "spivey-rbell": ["verify", "--identity", "spivey-rbell"],
+    "normal-order": ["verify", "--identity", "normal-order"],
+    "commutation": ["verify", "--identity", "commutation"],
+    "spivey-rbell-classical": [
+        "verify", "--identity", "spivey-rbell", "--max-m", "3", "--max-n", "4", "--r", "2",
+        "--lambda=-2/3", "--lambda=0",
+    ],
+    "oracle-check": ["oracle-check"],
+}
+
+REPORT_GOLDEN = {
+    ("spivey-bell", "csv"): "a68eedaab652757e20b10651f9ce46de54d95a8eb5ed34cf06796f6fa3628e6b",
+    ("spivey-bell", "json"): "9d14ad7b800e8c647e489bd797a0a56a64e1ac5d9baaae8c14a00bc0e37f74de",
+    ("spivey-rbell", "csv"): "62a4cb03398e111d7206687f3f4ca563c897e81e775e5941e93d8528be5bd5d9",
+    ("spivey-rbell", "json"): "53b50e29512f3ad60d7e4eedbedbfec78e469af5d9e69e1330ba3372bdb423c9",
+    ("normal-order", "csv"): "e5988ba9301bce400d8baa8eb862c4a8c79427ac23696deaf57d471473e8f703",
+    ("normal-order", "json"): "5b4656c251eabaf14fa26e720f0503fa805992324bfffd7bf562f0fd31333a70",
+    ("commutation", "csv"): "80747101cf9ae20eb2614a8a927a917586dcba1ef73361402bfe6b443c82e2a2",
+    ("commutation", "json"): "71fde1a1243b3673db00847cf5972faba8b0d0818876383ee72c870c594d889e",
+    ("spivey-rbell-classical", "csv"): "e9ba1d8d564aea363e4bab6df3d1c9b626b3257492553729227a0d8bd1818847",
+    ("spivey-rbell-classical", "json"): "997b5cccc9ef2b9b6fa427a707eb9c77eaef40e558c46f1bc19a31aa7904116e",
+    ("oracle-check", "csv"): "3259cf7b351f3a5e4866a42c7e2e769b31bdfa3d33f8a6089e46349a64060a7a",
+    ("oracle-check", "json"): "b1882830bdc035c3978cdc4728a78071487ca4e13a739fb1af2470df765d2087",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(REPORT_GOLDEN))
+def test_report_stdout_matches_golden_digest(name, fmt, capsys):
+    assert run(REPORT_COMMANDS[name] + ["--format", fmt]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == REPORT_GOLDEN[(name, fmt)]

@@ -22,7 +22,7 @@ from .identities import (
     verify_spivey_rbell,
 )
 from .operators import commutation_suite, normal_order_suite
-from .triangles import bell_poly_degenerate, rbell_poly_degenerate, triangle
+from .triangles import rbell_poly_degenerate, triangle
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -64,6 +64,16 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+# Table commands: name -> (takes --r, help). Each plain table is the r = 0
+# case of its r-shifted twin and shares its code path.
+_TABLE_COMMANDS = {
+    "stirling": (False, "triangle of deformed second-kind numbers"),
+    "rstirling": (True, "triangle of r-shifted deformed numbers"),
+    "bell": (False, "Bell-type polynomials and their values at 1"),
+    "rbell": (True, "r-shifted Bell-type polynomials and values at 1"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degenbell",
@@ -84,23 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default="stdout", metavar="PATH", help="output path, or 'stdout'")
 
-    p = sub.add_parser("stirling", help="triangle of deformed second-kind numbers")
-    p.add_argument("--max-n", type=_nonneg_int, required=True)
-    common(p)
-
-    p = sub.add_parser("rstirling", help="triangle of r-shifted deformed numbers")
-    p.add_argument("--max-n", type=_nonneg_int, required=True)
-    p.add_argument("--r", type=_nonneg_int, default=0)
-    common(p)
-
-    p = sub.add_parser("bell", help="Bell-type polynomials and their values at 1")
-    p.add_argument("--max-n", type=_nonneg_int, required=True)
-    common(p)
-
-    p = sub.add_parser("rbell", help="r-shifted Bell-type polynomials and values at 1")
-    p.add_argument("--max-n", type=_nonneg_int, required=True)
-    p.add_argument("--r", type=_nonneg_int, default=0)
-    common(p)
+    for name, (has_r, help_text) in _TABLE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--max-n", type=_nonneg_int, required=True)
+        if has_r:
+            p.add_argument("--r", type=_nonneg_int, default=0)
+        common(p)
 
     p = sub.add_parser("verify", help="run one identity suite; exit 0 iff it passes")
     p.add_argument(
@@ -192,34 +191,18 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "stirling":
+    if args.command in _TABLE_COMMANDS:
         lam = _single_lambda(args, parser)
-        records, csv_lines = _triangle_output(triangle(lam, 0), args.max_n)
-        params = {"max_n": args.max_n, "lambda": format_rational(lam)}
-        _emit("stirling", params, records, csv_lines, args)
-        return 0
-
-    if args.command == "rstirling":
-        lam = _single_lambda(args, parser)
-        records, csv_lines = _triangle_output(triangle(lam, args.r), args.max_n)
-        params = {"max_n": args.max_n, "r": args.r, "lambda": format_rational(lam)}
-        _emit("rstirling", params, records, csv_lines, args)
-        return 0
-
-    if args.command == "bell":
-        lam = _single_lambda(args, parser)
-        polys = [(n, bell_poly_degenerate(n, lam)) for n in range(args.max_n + 1)]
-        records, csv_lines = _poly_output(polys)
-        params = {"max_n": args.max_n, "lambda": format_rational(lam)}
-        _emit("bell", params, records, csv_lines, args)
-        return 0
-
-    if args.command == "rbell":
-        lam = _single_lambda(args, parser)
-        polys = [(n, rbell_poly_degenerate(n, args.r, lam)) for n in range(args.max_n + 1)]
-        records, csv_lines = _poly_output(polys)
-        params = {"max_n": args.max_n, "r": args.r, "lambda": format_rational(lam)}
-        _emit("rbell", params, records, csv_lines, args)
+        r = getattr(args, "r", 0)
+        if args.command.endswith("stirling"):
+            records, csv_lines = _triangle_output(triangle(lam, r), args.max_n)
+        else:
+            polys = [(n, rbell_poly_degenerate(n, r, lam)) for n in range(args.max_n + 1)]
+            records, csv_lines = _poly_output(polys)
+        params = {"max_n": args.max_n, "r": r, "lambda": format_rational(lam)}
+        if not hasattr(args, "r"):  # a plain table is the r = 0 case and prints no r
+            del params["r"]
+        _emit(args.command, params, records, csv_lines, args)
         return 0
 
     lambdas = list(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDAS)
@@ -263,11 +246,7 @@ def run(argv=None) -> int:
                 "max_n": total_max,
                 "lambdas": lambda_strs,
             }
-        records, csv_lines = _report_output(report)
-        _emit("verify", params, records, csv_lines, args)
-        return 0 if report.passed else 1
-
-    if args.command == "oracle-check":
+    else:  # oracle-check; argparse has rejected every other command
         report = triple_agreement(args.max_n, args.r, lambdas)
         params = {
             "identity": "triple-agreement",
@@ -275,12 +254,9 @@ def run(argv=None) -> int:
             "r": args.r,
             "lambdas": lambda_strs,
         }
-        records, csv_lines = _report_output(report)
-        _emit("verify", params, records, csv_lines, args)
-        return 0 if report.passed else 1
-
-    parser.error(f"unknown command: {args.command}")  # unreachable: argparse rejects first
-    return 2
+    records, csv_lines = _report_output(report)
+    _emit("verify", params, records, csv_lines, args)
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> None:

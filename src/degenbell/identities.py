@@ -13,15 +13,10 @@ import time
 from fractions import Fraction
 
 from .operators import extract_bell_via_operators, extract_rbell_via_operators
-from .polyalg import Poly, as_rational, binomial, degenerate_falling_eval
+from .polyalg import Poly, _require_int, as_rational, binomial, degenerate_falling_eval
 from .report import VerificationReport
 from .series import bell_polys_via_series, rbell_polys_via_series
-from .triangles import (
-    bell_poly_degenerate,
-    rbell_poly_degenerate,
-    stirling2_degenerate,
-    triangle,
-)
+from .triangles import bell_poly_degenerate, rbell_poly_degenerate, triangle
 
 DEFAULT_LAMBDAS = (
     Fraction(0),
@@ -33,94 +28,71 @@ DEFAULT_LAMBDAS = (
 )
 
 
-def spivey_bell_terms(m: int, n: int, lam) -> list[tuple[tuple[int, int], Poly]]:
-    """The (j, k)-indexed terms of the split-order Bell recurrence, in
-    lexicographic order: C(n,k) T(m,j) (j - m*lam)_{n-k} x^j phi_k(x).
+def _split_order_terms(m: int, n: int, r: int, lam, power):
+    """Yield the (k, l)-indexed terms C(n,l) T(m,k) power(k - m*lam, n-l, lam)
+    x^k phi_l(x) of the split-order recurrence in lexicographic order, with T
+    and phi taken from the (lam, r) triangle. power is the deformed
+    degenerate_falling_eval or, at lam = 0, the classical _plain_power.
 
-    Zero terms are kept so the array lines up index-by-index with the
-    classical lam = 0 term array.
+    A term whose scalar is 0 is Poly.ZERO, built without a product, so term
+    arrays for different powers line up index by index.
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
-    lam = as_rational(lam)
-    terms = []
-    for j in range(m + 1):
-        smj = stirling2_degenerate(m, j, lam)
-        xj = Poly.monomial(j)
-        for k in range(n + 1):
-            c = binomial(n, k) * smj * degenerate_falling_eval(j - m * lam, n - k, lam)
-            terms.append(((j, k), xj * bell_poly_degenerate(k, lam) * c))
-    return terms
+    _require_int(m=m, n=n, r=r)
+    if m < 0 or n < 0 or r < 0:
+        raise ValueError("m, n, r must be nonnegative")
+    row = triangle(lam, r).row(m)
+    for k in range(m + 1):
+        xk = Poly.monomial(k)
+        for l in range(n + 1):
+            c = binomial(n, l) * row[k] * power(k - m * lam, n - l, lam)
+            yield (k, l), (xk * rbell_poly_degenerate(l, r, lam) * c if c else Poly.ZERO)
+
+
+def _plain_power(x0, e: int, lam):
+    """x0^e, the classical power that degenerate_falling_eval deforms; lam,
+    always 0 here, is not read."""
+    return x0 ** e
+
+
+def _sum_terms(terms) -> Poly:
+    """One polynomial from a term array; its zero terms are skipped."""
+    return sum((term for _, term in terms if not term.is_zero()), Poly.ZERO)
+
+
+def spivey_bell_terms(m: int, n: int, lam) -> list[tuple[tuple[int, int], Poly]]:
+    """The terms of the split-order Bell recurrence, in lexicographic order:
+    C(n,k) T(m,j) (j - m*lam)_{n-k} x^j phi_k(x), zero terms included."""
+    return list(_split_order_terms(m, n, 0, lam, degenerate_falling_eval))
 
 
 def spivey_rhs_bell(m: int, n: int, lam) -> Poly:
-    """Right-hand side of the split-order Bell recurrence, as one polynomial.
-
-    Exact equality with the order-(m+n) polynomial built from the triangle is
-    what verify_spivey_bell checks.
-    """
-    out = Poly.ZERO
-    for _, term in spivey_bell_terms(m, n, lam):
-        out = out + term
-    return out
+    """The r = 0 case of spivey_rhs_rbell; verify_spivey_bell checks it."""
+    return spivey_rhs_rbell(m, n, 0, lam)
 
 
 def classical_spivey_terms(m: int, n: int) -> list[tuple[tuple[int, int], Poly]]:
     """The lam = 0 terms computed directly with plain powers:
     C(n,k) T(m,j) j^(n-k) x^j phi_k(x)."""
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
-    terms = []
-    for j in range(m + 1):
-        smj = stirling2_degenerate(m, j, 0)
-        xj = Poly.monomial(j)
-        for k in range(n + 1):
-            c = binomial(n, k) * smj * Fraction(j) ** (n - k)
-            terms.append(((j, k), xj * bell_poly_degenerate(k, 0) * c))
-    return terms
+    return list(_split_order_terms(m, n, 0, 0, _plain_power))
 
 
 def spivey_rhs_rbell(m: int, n: int, r: int, lam) -> Poly:
     """Right-hand side of the split-order recurrence for the r-shifted family:
     sum over k <= m, l <= n of C(n,l) T(m,k) (k - m*lam)_{n-l} x^k phi_l(x),
     with T and phi taken from the (lam, r) triangle."""
-    if m < 0 or n < 0 or r < 0:
-        raise ValueError("m, n, r must be nonnegative")
-    lam = as_rational(lam)
-    row = triangle(lam, r).row(m)
-    out = Poly.ZERO
-    for k in range(m + 1):
-        smk = row[k]
-        if smk == 0:
-            continue
-        xk = Poly.monomial(k)
-        for l in range(n + 1):
-            c = binomial(n, l) * smk * degenerate_falling_eval(k - m * lam, n - l, lam)
-            if c == 0:
-                continue
-            out = out + xk * rbell_poly_degenerate(l, r, lam) * c
-    return out
+    return _sum_terms(_split_order_terms(m, n, r, lam, degenerate_falling_eval))
 
 
 def _classical_rbell_rhs(m: int, n: int, r: int) -> Poly:
     """lam = 0 right-hand side with plain powers k^(n-l) in place of the
     deformed ones."""
-    row = triangle(0, r).row(m)
-    out = Poly.ZERO
-    for k in range(m + 1):
-        smk = row[k]
-        if smk == 0:
-            continue
-        xk = Poly.monomial(k)
-        for l in range(n + 1):
-            c = binomial(n, l) * smk * Fraction(k) ** (n - l)
-            out = out + xk * rbell_poly_degenerate(l, r, 0) * c
-    return out
+    return _sum_terms(_split_order_terms(m, n, r, 0, _plain_power))
 
 
 def verify_spivey_bell(m_max: int, n_max: int, lambdas) -> VerificationReport:
     """Exact polynomial (plus x = 1 scalar) check of the split-order Bell
     recurrence over the whole grid; an empty lam list passes vacuously."""
+    _require_int(m_max=m_max, n_max=n_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="spivey-bell",
@@ -142,6 +114,7 @@ def verify_spivey_bell(m_max: int, n_max: int, lambdas) -> VerificationReport:
 def verify_spivey_rbell(m_max: int, n_max: int, r_max: int, lambdas) -> VerificationReport:
     """Exact polynomial check of the r-shifted split-order recurrence; at
     lam = 0 the classical plain-power form is checked as well."""
+    _require_int(m_max=m_max, n_max=n_max, r_max=r_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="spivey-rbell",
@@ -168,6 +141,7 @@ def verify_spivey_rbell(m_max: int, n_max: int, r_max: int, lambdas) -> Verifica
 def triple_agreement(n_max: int, r_max: int, lambdas) -> VerificationReport:
     """The triangle recurrences, the series extractions, and the operator
     extractions must produce identical polynomials, for both families."""
+    _require_int(n_max=n_max, r_max=r_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="triple-agreement",

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyalg import Poly, as_rational, binomial, degenerate_falling_eval
+from .polyalg import Poly, _require_int, as_rational, binomial, degenerate_falling_eval
 from .report import VerificationReport
 from .triangles import triangle
 
@@ -76,15 +76,18 @@ class OperatorWord:
 
     @classmethod
     def x_power(cls, k: int) -> "OperatorWord":
+        _require_int(k=k)
         return cls(("X",) * k)
 
     @classmethod
     def d_power(cls, k: int) -> "OperatorWord":
+        _require_int(k=k)
         return cls(("D",) * k)
 
     @classmethod
     def shifted_product(cls, n: int, lam, shift=0) -> "OperatorWord":
         """(XD + shift)(XD + shift - lam)...(XD + shift - (n-1)lam), left to right."""
+        _require_int(n=n)
         if n < 0:
             raise ValueError("n must be nonnegative")
         lam = as_rational(lam)
@@ -118,16 +121,18 @@ def apply_degenerate_operator_product(n: int, lam, shift, v):
 
 
 def extract_bell_via_operators(n: int, lam) -> Poly:
-    """Factor of the length-n plain shifted product applied to e^x.
-
-    On x^m each factor acts by a scalar, so the result on e^x is the Bell-type
-    polynomial times e^x; the e^x never leaves the representation.
-    """
-    return apply_degenerate_operator_product(n, lam, 0, ExpWeightedPoly(Poly.ONE)).factor
+    """The r = 0 case of extract_rbell_via_operators."""
+    return extract_rbell_via_operators(n, 0, lam)
 
 
 def extract_rbell_via_operators(n: int, r: int, lam) -> Poly:
-    """Factor of the r-shifted length-n product applied to e^x."""
+    """Factor of the r-shifted length-n product applied to e^x.
+
+    On x^m each factor acts by a scalar, so the result on e^x is the
+    r-shifted Bell-type polynomial times e^x; the e^x never leaves the
+    representation.
+    """
+    _require_int(n=n, r=r)
     if r < 0:
         raise ValueError("r must be nonnegative")
     return apply_degenerate_operator_product(n, lam, r, ExpWeightedPoly(Poly.ONE)).factor
@@ -142,6 +147,7 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
     operator identity itself, not just the sampled monomials; the grid
     records that threshold.
     """
+    _require_int(n=n, r=r, m_max=m_max)
     if n < 0 or r < 0 or m_max < 0:
         raise ValueError("n, r, m_max must be nonnegative")
     lam = as_rational(lam)
@@ -168,6 +174,7 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
 
 def normal_order_suite(n_max: int, r_max: int, lambdas, m_max: int | None = None) -> VerificationReport:
     """normal_order_check over a whole grid; m ranges to n when m_max is None."""
+    _require_int(n_max=n_max, r_max=r_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="normal-order",
@@ -194,6 +201,7 @@ def commutation_checks(k_max: int, m_max: int, lam) -> VerificationReport:
     Each relation is applied to x^m for m = 0..m_max, with word lengths n
     up to 4 for the product relations.
     """
+    _require_int(k_max=k_max, m_max=m_max)
     if k_max < 0 or m_max < 0:
         raise ValueError("k_max and m_max must be nonnegative")
     lam = as_rational(lam)
@@ -249,6 +257,7 @@ def factorization_check(total_max: int, lam) -> VerificationReport:
     """Splitting a length-(m+n) plain product applied to e^x: the length-m
     block and the (-m*lam)-shifted length-n block give the same result in
     either order."""
+    _require_int(total_max=total_max)
     if total_max < 0:
         raise ValueError("total_max must be nonnegative")
     lam = as_rational(lam)
@@ -274,6 +283,7 @@ def factorization_check(total_max: int, lam) -> VerificationReport:
 
 def commutation_suite(k_max: int, m_max: int, lambdas, total_max: int = 10) -> VerificationReport:
     """commutation_checks plus factorization_check over a list of lam values."""
+    _require_int(k_max=k_max, m_max=m_max, total_max=total_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="commutation",

@@ -13,12 +13,21 @@ Rational = Fraction
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an int or Fraction; anything else (notably floats) is an error."""
+    """Coerce an int or Fraction; anything else (notably floats and bools) is
+    an error."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _require_int(**values) -> None:
+    """Reject anything but an int, bools included, so no float or bool ever
+    reaches a size, an index, a shift r or a cache key."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class Poly:

@@ -13,8 +13,6 @@ def encode_value(value):
     scalars as canonical p/q strings."""
     if isinstance(value, Poly):
         return [str(c) for c in value.coeffs]
-    if isinstance(value, (Fraction, int)):
-        return str(value)
     return str(value)
 
 
@@ -51,8 +49,8 @@ class VerificationReport:
 
     Passes iff `failures` is empty; failures carry both sides so a breakage
     produces a diffable artifact rather than a bare boolean. `elapsed` is
-    wall-clock seconds and is excluded from JSON by default so emitted
-    reports stay byte-deterministic.
+    wall-clock seconds and is never written to JSON, so emitted reports stay
+    byte-deterministic.
     """
 
     identity: str
@@ -77,14 +75,11 @@ class VerificationReport:
         for f in sub.failures:
             self.failures.append(Failure({**extra, **f.params}, f.lhs, f.rhs))
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "identity": self.identity,
             "grid": encode_params(self.grid),
             "checked": self.checked,
             "status": "pass" if self.passed else "fail",
             "failures": [f.to_json_dict() for f in self.failures],
         }
-        if include_elapsed:
-            out["elapsed_seconds"] = self.elapsed
-        return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .polyalg import Poly, as_rational
+from .polyalg import Poly, _require_int, as_rational
 
 
 class TruncatedSeries:
@@ -23,6 +23,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
+        _require_int(order=order)
         if order < 0:
             raise ValueError("order must be nonnegative")
         cs = list(coeffs)
@@ -40,6 +41,7 @@ class TruncatedSeries:
         return cls(order, (Poly.ONE,))
 
     def coefficient(self, n: int) -> Poly:
+        _require_int(n=n)
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
@@ -133,21 +135,19 @@ def degenerate_exp_series(exponent: Poly, lam, order: int) -> TruncatedSeries:
 
 
 def bell_polys_via_series(n_max: int, lam) -> list[Poly]:
-    """Bell-type polynomials for n = 0..n_max, read off exp(x * (e_lam(t) - 1)).
-
-    Each entry is n! times the t^n coefficient of the composed series.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    e = degenerate_exp_series(Poly.ONE, lam, n_max)
-    inner = (e - TruncatedSeries.one(n_max)).scale(Poly.X)
-    egf = inner.exp()
-    return [egf.coefficient(n) * Fraction(factorial(n)) for n in range(n_max + 1)]
+    """The r = 0 case of rbell_polys_via_series: Bell-type polynomials for
+    n = 0..n_max, read off exp(x * (e_lam(t) - 1))."""
+    return rbell_polys_via_series(n_max, 0, lam)
 
 
 def rbell_polys_via_series(n_max: int, r: int, lam) -> list[Poly]:
-    """Shifted Bell-type polynomials: the Bell series times the deformed
-    exponential of the constant r, extracted the same way."""
+    """Shifted Bell-type polynomials for n = 0..n_max: exp(x * (e_lam(t) - 1))
+    times the deformed exponential of the constant r.
+
+    Each entry is n! times the t^n coefficient of the product. At r = 0 the
+    second factor is the one-series, whose zero terms the Cauchy product skips.
+    """
+    _require_int(n_max=n_max, r=r)
     if n_max < 0 or r < 0:
         raise ValueError("n_max and r must be nonnegative")
     e = degenerate_exp_series(Poly.ONE, lam, n_max)
@@ -159,6 +159,7 @@ def rbell_polys_via_series(n_max: int, r: int, lam) -> list[Poly]:
 def stirling_rows_via_series(n_max: int, k: int, r: int, lam) -> list[Fraction]:
     """Triangle column k for n = k..n_max from its generating function
     (e_lam(t) - 1)^k / k! times the deformed exponential of r."""
+    _require_int(n_max=n_max, k=k, r=r)
     if k < 0 or r < 0:
         raise ValueError("k and r must be nonnegative")
     if n_max < k:

@@ -13,17 +13,11 @@ from fractions import Fraction
 
 from .polyalg import (
     Poly,
+    _require_int,
     as_rational,
     degenerate_falling_product,
     falling_factorial,
 )
-
-
-def _require_int(name: str, value) -> None:
-    """Reject anything but an int, bools included, so no float or bool ever
-    reaches a triangle or its cache key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class StirlingTriangle:
@@ -42,7 +36,7 @@ class StirlingTriangle:
     """
 
     def __init__(self, lam, r: int = 0):
-        _require_int("r", r)
+        _require_int(r=r)
         if r < 0:
             raise ValueError("r must be nonnegative")
         self.lam = as_rational(lam)
@@ -54,8 +48,7 @@ class StirlingTriangle:
 
     def entry(self, n: int, k: int) -> Fraction:
         """Entry (n, k); 0 for k < 0 or k > n."""
-        _require_int("n", n)
-        _require_int("k", k)
+        _require_int(n=n, k=k)
         if n < 0:
             raise ValueError("n must be nonnegative")
         if k < 0 or k > n:
@@ -65,7 +58,7 @@ class StirlingTriangle:
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         """The full row (entries k = 0..n)."""
-        _require_int("n", n)
+        _require_int(n=n)
         if n < 0:
             raise ValueError("n must be nonnegative")
         self._grow(n)
@@ -94,7 +87,7 @@ _cache_lock = threading.Lock()
 
 def triangle(lam, r: int = 0) -> StirlingTriangle:
     """Process-wide memoized triangle for (lam, r)."""
-    _require_int("r", r)
+    _require_int(r=r)
     key = (as_rational(lam), r)
     tri = _triangles.get(key)
     if tri is None:
@@ -106,12 +99,10 @@ def triangle(lam, r: int = 0) -> StirlingTriangle:
 def stirling2_degenerate(n: int, k: int, lam) -> Fraction:
     """Coefficient of (x)_k in the expansion of x(x-lam)...(x-(n-1)lam).
 
-    Computed by the triangular recurrence; 0 for k > n and, when n >= 1,
+    The r = 0 case of r_stirling2_degenerate: 0 for k > n and, when n >= 1,
     for k = 0. At lam = 0 these are the classical second-kind numbers.
     """
-    _require_int("n", n)
-    _require_int("k", k)
-    return triangle(lam, 0).entry(n, k)
+    return r_stirling2_degenerate(n, k, 0, lam)
 
 
 def r_stirling2_degenerate(n: int, k: int, r: int, lam) -> Fraction:
@@ -122,8 +113,7 @@ def r_stirling2_degenerate(n: int, k: int, r: int, lam) -> Fraction:
     re-expanding with x*(x)_k = (x)_{k+1} + k*(x)_k; its agreement with the
     independent basis expansion is enforced by the test suite.
     """
-    _require_int("n", n)
-    _require_int("k", k)
+    _require_int(n=n, k=k)
     return triangle(lam, r).entry(n, k)
 
 
@@ -135,8 +125,7 @@ def stirling_via_basis_expansion(n: int, r: int, lam) -> list[Fraction]:
     peeling the leading coefficient from degree n down to 0 is exact. This
     never touches the triangle recurrences and serves as their oracle.
     """
-    _require_int("n", n)
-    _require_int("r", r)
+    _require_int(n=n, r=r)
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
     lam = as_rational(lam)
@@ -154,9 +143,8 @@ def stirling_via_basis_expansion(n: int, r: int, lam) -> list[Fraction]:
 
 
 def bell_poly_degenerate(n: int, lam) -> Poly:
-    """Row n of the (lam, 0) triangle read as a polynomial: sum_k T(n,k) x^k."""
-    _require_int("n", n)
-    return Poly(triangle(lam, 0).row(n))
+    """The r = 0 case of rbell_poly_degenerate."""
+    return rbell_poly_degenerate(n, 0, lam)
 
 
 def bell_number_degenerate(n: int, lam) -> Fraction:
@@ -166,7 +154,7 @@ def bell_number_degenerate(n: int, lam) -> Fraction:
 
 def rbell_poly_degenerate(n: int, r: int, lam) -> Poly:
     """Row n of the (lam, r) triangle read as a polynomial: sum_k T(n,k) x^k."""
-    _require_int("n", n)
+    _require_int(n=n)
     return Poly(triangle(lam, r).row(n))
 
 
@@ -181,7 +169,7 @@ def restricted_growth_strings(n: int):
     by at most one, so each partition appears exactly once. For n = 0 the
     single empty string encodes the empty partition.
     """
-    _require_int("n", n)
+    _require_int(n=n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -206,7 +194,7 @@ def bell_number_classical_bruteforce(n: int) -> int:
     Exponential-time oracle for the lam = 0, r = 0 corner; n > 10 is rejected
     to flag misuse of the enumeration path.
     """
-    _require_int("n", n)
+    _require_int(n=n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > _BRUTE_FORCE_LIMIT:

@@ -48,4 +48,3 @@ def test_report_json_dict_excludes_elapsed_by_default():
     assert doc["status"] == "fail"
     assert doc["grid"] == {"lambda": "1/2"}
     assert doc["failures"] == [{"params": {"k": 0}, "lhs": "1", "rhs": "2"}]
-    assert report.to_json_dict(include_elapsed=True)["elapsed_seconds"] == 1.23

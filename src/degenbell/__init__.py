@@ -2,8 +2,10 @@
 families, cross-checked three independent ways: triangle recurrences,
 generating-function series, and operator calculus.
 
-All arithmetic is over `fractions.Fraction`; every identity check in the
-package is an exact equality, never a tolerance comparison.
+All arithmetic is exact: a polynomial keeps integer numerators over one
+common denominator, and every coefficient or scalar the package returns is a
+`fractions.Fraction`. Every identity check is an exact equality, never a
+tolerance comparison.
 """
 
 from .identities import (

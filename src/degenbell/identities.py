@@ -42,10 +42,9 @@ def _split_order_terms(m: int, n: int, r: int, lam, power):
         raise ValueError("m, n, r must be nonnegative")
     row = triangle(lam, r).row(m)
     for k in range(m + 1):
-        xk = Poly.monomial(k)
         for l in range(n + 1):
             c = binomial(n, l) * row[k] * power(k - m * lam, n - l, lam)
-            yield (k, l), (xk * rbell_poly_degenerate(l, r, lam) * c if c else Poly.ZERO)
+            yield (k, l), ((rbell_poly_degenerate(l, r, lam) * c)._shift(k) if c else Poly.ZERO)
 
 
 def _plain_power(x0, e: int, lam):

@@ -44,8 +44,8 @@ class ExpWeightedPoly:
 def apply_X(v):
     """Multiply by x: polynomials directly, weighted values on the factor."""
     if isinstance(v, ExpWeightedPoly):
-        return ExpWeightedPoly(Poly.X * v.factor)
-    return Poly.X * v
+        return ExpWeightedPoly(v.factor._shift(1))
+    return v._shift(1)
 
 
 def apply_D(v):
@@ -157,15 +157,14 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
         grid={"n": n, "r": r, "lambda": lam, "m_max": m_max, "proof_threshold": n},
     )
     start = time.perf_counter()
+    words = [
+        (c, OperatorWord.x_power(k) * OperatorWord.d_power(k)) for k, c in enumerate(row) if c != 0
+    ]
     for m in range(m_max + 1):
         mono = Poly.monomial(m)
         lhs = apply_degenerate_operator_product(n, lam, r, mono)
         rhs = Poly.ZERO
-        for k in range(n + 1):
-            c = row[k]
-            if c == 0:
-                continue
-            word = OperatorWord.x_power(k) * OperatorWord.d_power(k)
+        for c, word in words:
             rhs = rhs + word.apply(mono) * c
         report.record({"m": m}, lhs, rhs)
     report.elapsed = time.perf_counter() - start

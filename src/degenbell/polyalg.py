@@ -1,13 +1,15 @@
 """Exact scalars and dense univariate polynomial arithmetic.
 
-Scalars are `fractions.Fraction` throughout, so every operation in this
-package is exact; floats are rejected at the boundary.
+Scalars are `fractions.Fraction`, and a polynomial keeps integer numerators
+over one common denominator, so every operation in this package is exact;
+floats are rejected at the boundary.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -31,20 +33,68 @@ def _require_int(**values) -> None:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction.
+    """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficient i is the coefficient of x**i; trailing zeros are trimmed, so
-    equal polynomials have equal coefficient tuples and the zero polynomial
-    has an empty tuple. Instances are immutable.
+    Stored as integer numerators over one common denominator: coefficient i
+    of x**i is _num[i] / _den. The form is canonical, so equal polynomials
+    have equal (_num, _den): _den > 0, gcd(_den, *_num) == 1, no trailing
+    zero numerators, and the zero polynomial is ((), 1). Arithmetic runs on
+    ints and takes one gcd per result. `coeffs`, the tuple of reduced
+    Fractions, is the boundary view: it is built on first use and cached.
+    Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = tuple(map(as_rational, coeffs))
+        end = len(cs)
+        while end and not cs[end - 1]:
+            end -= 1
+        cs = cs[:end]
+        # Each c is reduced, so the numerators over the lcm share no factor
+        # with it: the result is already canonical.
+        den = lcm(*[c.denominator for c in cs])
+        self._num = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self._den = den
+        self._coeffs = cs
+
+    @classmethod
+    def _raw(cls, num: tuple, den: int) -> "Poly":
+        """A Poly from numerators and a denominator already in canonical form."""
+        p = object.__new__(cls)
+        p._num = num
+        p._den = den
+        p._coeffs = None
+        return p
+
+    @classmethod
+    def _reduce(cls, num: list, den: int) -> "Poly":
+        """A Poly from any int numerators over a positive denominator: trim
+        the trailing zeros, then divide out the one common gcd."""
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            return cls.ZERO
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return cls._raw(tuple(num), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients as reduced Fractions, coefficient i of x**i first."""
+        cs = self._coeffs
+        if cs is None:
+            den = self._den
+            if den == 1:
+                cs = tuple(map(Fraction, self._num))
+            else:
+                cs = tuple([Fraction(c, den) for c in self._num])
+            self._coeffs = cs
+        return cs
 
     @classmethod
     def constant(cls, value) -> "Poly":
@@ -54,42 +104,61 @@ class Poly:
     def monomial(cls, power: int, coeff=1) -> "Poly":
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+        return cls((coeff,))._shift(power)
+
+    def _shift(self, k: int) -> "Poly":
+        """x**k times self, by prepending k zero numerators."""
+        if not k or not self._num:
+            return self
+        return Poly._raw((0,) * k + self._num, self._den)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._num):
+            if self._coeffs is not None:
+                return self._coeffs[i]
+            return Fraction(self._num[i], self._den)
         return Fraction(0)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        a, da, b, db = self._num, self._den, other._num, other._den
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, da, b, db = b, db, a, da
+        if da == db:
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] += c
+            return Poly._reduce(out, da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        out = [c * sa for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            out[i] += c * sb
+        return Poly._reduce(out, da * sa)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._raw(tuple([-c for c in self._num]), self._den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -98,17 +167,18 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            a, b = self._num, other._num
+            if not a or not b:
+                return Poly.ZERO
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    for j, d in enumerate(b, i):
+                        out[j] += c * d
+            return Poly._reduce(out, self._den * other._den)
         scalar = as_rational(other)
-        return Poly(tuple(c * scalar for c in self.coeffs))
+        factor = scalar.numerator
+        return Poly._reduce([c * factor for c in self._num], self._den * scalar.denominator)
 
     __rmul__ = __mul__
 
@@ -121,16 +191,23 @@ class Poly:
         return out
 
     def __call__(self, x0) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation on ints, with one Fraction for the result:
+        at x0 = a/b the value is sum_i num[i] a^i b^(deg-i) over den b^deg."""
         x0 = as_rational(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        num = self._num
+        if not num:
+            return Fraction(0)
+        a, b = x0.numerator, x0.denominator
+        acc, scale = num[-1], 1
+        for c in reversed(num[:-1]):
+            scale *= b
+            acc = acc * a + c * scale
+        return Fraction(acc, self._den * scale)
 
     def derivative(self) -> "Poly":
         """Formal derivative."""
-        return Poly(tuple(i * self.coeffs[i] for i in range(1, len(self.coeffs))))
+        num = self._num
+        return Poly._reduce([i * num[i] for i in range(1, len(num))], self._den)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"

@@ -46,6 +46,10 @@ class TruncatedSeries:
             raise ValueError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
 
+    def _is_one(self) -> bool:
+        """True for the one-series, the unit of the Cauchy product."""
+        return self.coeffs[0] == Poly.ONE and all(c.is_zero() for c in self.coeffs[1:])
+
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
@@ -75,6 +79,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
+        if other._is_one():
+            return self
+        if self._is_one():
+            return other
         n_max = self.order
         out = [Poly.ZERO] * (n_max + 1)
         for i, a in enumerate(self.coeffs):
@@ -102,15 +110,15 @@ class TruncatedSeries:
         if not self.coeffs[0].is_zero():
             raise ValueError("exp needs a zero constant term")
         n_max = self.order
+        weighted = [a * (j + 1) for j, a in enumerate(self.coeffs[1:])]  # (j+1) a_{j+1}
         out = [Poly.ZERO] * (n_max + 1)
         out[0] = Poly.ONE
         for n in range(n_max):
             acc = Poly.ZERO
             for j in range(n + 1):
-                a = self.coeffs[j + 1]
-                if a.is_zero():
-                    continue
-                acc = acc + a * out[n - j] * Fraction(j + 1)
+                w = weighted[j]
+                if not w.is_zero():
+                    acc = acc + w * out[n - j]
             out[n + 1] = acc * Fraction(1, n + 1)
         return TruncatedSeries(n_max, out)
 
@@ -145,7 +153,8 @@ def rbell_polys_via_series(n_max: int, r: int, lam) -> list[Poly]:
     times the deformed exponential of the constant r.
 
     Each entry is n! times the t^n coefficient of the product. At r = 0 the
-    second factor is the one-series, whose zero terms the Cauchy product skips.
+    second factor is the one-series, and the Cauchy product returns the first
+    factor unchanged.
     """
     _require_int(n_max=n_max, r=r)
     if n_max < 0 or r < 0:

@@ -1,5 +1,8 @@
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from degenbell.identities import (
     DEFAULT_LAMBDAS,
     classical_spivey_terms,
@@ -10,7 +13,9 @@ from degenbell.identities import (
     verify_spivey_bell,
     verify_spivey_rbell,
 )
+from degenbell.operators import extract_rbell_via_operators
 from degenbell.polyalg import Poly
+from degenbell.series import rbell_polys_via_series
 from degenbell.triangles import (
     bell_number_classical_bruteforce,
     bell_poly_degenerate,
@@ -119,3 +124,15 @@ def test_triple_agreement_used_as_lhs_of_recurrence():
                 assert lhs == bell_polys_via_series(m + n, lam)[m + n]
                 assert lhs == extract_bell_via_operators(m + n, lam)
                 assert lhs == spivey_rhs_bell(m, n, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.builds(F, st.integers(-12, 12), st.integers(1, 12)),
+    r=st.integers(0, 3),
+    n=st.integers(0, 12),
+)
+def test_three_routes_agree_on_random_lambda_r_n(lam, r, n):
+    from_triangle = rbell_poly_degenerate(n, r, lam)
+    assert rbell_polys_via_series(n, r, lam)[n] == from_triangle
+    assert extract_rbell_via_operators(n, r, lam) == from_triangle

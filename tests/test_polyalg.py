@@ -166,3 +166,126 @@ def test_vandermonde_convolution_for_deformed_powers():
                         for k in range(n + 1)
                     )
                     assert lhs == rhs
+
+
+# Reference arithmetic on trimmed tuples of Fractions, independent of Poly's
+# integer numerators over a common denominator.
+def ref_trim(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_eval(a, x0):
+    return sum((c * x0**i for i, c in enumerate(a)), F(0))
+
+
+def assert_canonical(p):
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in num)
+    assert math.gcd(den, *num) == 1  # also forces den == 1 for the zero polynomial
+    assert not num or num[-1] != 0
+    assert type(p.coeffs) is tuple
+    for c, n in zip(p.coeffs, num, strict=True):
+        assert type(c) is F
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+        assert c == F(n, den)
+
+
+# Wide numerators and denominators, so the common denominator and its gcd are
+# exercised, plus exact zeros (trimmed when trailing) and plain ints.
+wide_rationals = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+coeff_lists = st.lists(st.one_of(wide_rationals, st.integers(-50, 50), st.just(F(0))), max_size=9)
+
+
+@given(coeff_lists, coeff_lists)
+def test_add_sub_neg_match_fraction_reference(a, b):
+    ra, rb = ref_trim(a), ref_trim(b)
+    pa, pb = Poly(a), Poly(b)
+    for p in (pa, pb, pa + pb, pa - pb, -pa):
+        assert_canonical(p)
+    assert pa.coeffs == ra
+    assert (pa + pb).coeffs == ref_add(ra, rb)
+    assert (pa - pb).coeffs == ref_add(ra, tuple(-c for c in rb))
+    assert (-pa).coeffs == tuple(-c for c in ra)
+
+
+@given(coeff_lists, coeff_lists, st.one_of(wide_rationals, st.integers(-50, 50)))
+def test_mul_and_scalar_mul_match_fraction_reference(a, b, s):
+    ra, rb = ref_trim(a), ref_trim(b)
+    pa, pb = Poly(a), Poly(b)
+    for p in (pa * pb, pa * s, s * pa):
+        assert_canonical(p)
+    assert (pa * pb).coeffs == ref_mul(ra, rb)
+    assert (pa * s).coeffs == (s * pa).coeffs == ref_trim([c * s for c in ra])
+
+
+@given(coeff_lists, wide_rationals)
+def test_derivative_and_eval_match_fraction_reference(a, x0):
+    ra, p = ref_trim(a), Poly(a)
+    assert_canonical(p.derivative())
+    assert p.derivative().coeffs == ref_trim([i * ra[i] for i in range(1, len(ra))])
+    for x in (x0, F(1), F(0), F(-1), 2):
+        value = p(x)
+        assert type(value) is F
+        assert value == ref_eval(ra, F(x))
+    for i in range(-1, len(ra) + 1):
+        assert type(p.coefficient(i)) is F
+        assert p.coefficient(i) == (ra[i] if 0 <= i < len(ra) else 0)
+
+
+@given(coeff_lists, st.integers(0, 5))
+def test_shift_is_product_by_monomial(a, k):
+    p = Poly(a)
+    shifted = p._shift(k)
+    assert_canonical(shifted)
+    assert shifted == Poly.monomial(k) * p
+
+
+@given(coeff_lists, coeff_lists, wide_rationals.filter(bool))
+def test_equal_values_from_different_routes_are_equal_and_hash_alike(a, b, s):
+    p, q = Poly(a), Poly(b)
+    for other in ((p + q) - q, (p * s) * (1 / s), Poly(tuple(p.coeffs)), Poly(p.coeffs) * 1):
+        assert other == p
+        assert hash(other) == hash(p)
+
+
+def test_equal_polynomials_from_different_forms():
+    forms = [
+        Poly((F(2, 4),)),
+        Poly((F(1, 2),)),
+        Poly((F(1, 2), 0, 0)),
+        Poly((F(1, 3),)) + Poly((F(1, 6),)),
+        Poly((3,)) * F(1, 6),
+        Poly.monomial(0, F(1, 2)),
+    ]
+    for p in forms:
+        assert_canonical(p)
+        assert p == forms[0]
+        assert hash(p) == hash(forms[0])
+    assert (Poly((1, F(1, 2))) * 2)._den == 1
+    assert Poly.ZERO._num == () and Poly.ZERO._den == 1
+
+
+def test_fraction_built_poly_keeps_its_coefficients_as_the_view():
+    row = (F(1, 3), F(-2, 9), F(5))
+    p = Poly(row)
+    assert all(c is r for c, r in zip(p.coeffs, row, strict=True))
+    assert p._num == (3, -2, 45) and p._den == 9

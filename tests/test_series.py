@@ -28,6 +28,9 @@ def test_mul_examples():
 
     a = scalar_series(3, 2, 0, 5, 1)
     assert a * TruncatedSeries.one(3) == a
+    # the one-series factor costs no product: the other factor comes back
+    assert a * TruncatedSeries.one(3) is a
+    assert TruncatedSeries.one(3) * a is a
 
     t = scalar_series(1, 0, 1)
     assert t * t == TruncatedSeries(1)  # t^2 is beyond the truncation

@@ -41,10 +41,12 @@ def _split_order_terms(m: int, n: int, r: int, lam, power):
     if m < 0 or n < 0 or r < 0:
         raise ValueError("m, n, r must be nonnegative")
     row = triangle(lam, r).row(m)
+    phis = [(binomial(n, l), rbell_poly_degenerate(l, r, lam)) for l in range(n + 1)]
     for k in range(m + 1):
-        for l in range(n + 1):
-            c = binomial(n, l) * row[k] * power(k - m * lam, n - l, lam)
-            yield (k, l), ((rbell_poly_degenerate(l, r, lam) * c)._shift(k) if c else Poly.ZERO)
+        x0 = k - m * lam
+        for l, (b, phi) in enumerate(phis):
+            c = b * row[k] * power(x0, n - l, lam)
+            yield (k, l), ((phi * c)._shift(k) if c else Poly.ZERO)
 
 
 def _plain_power(x0, e: int, lam):

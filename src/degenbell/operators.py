@@ -9,7 +9,7 @@ factors applied to e^x be read off as a plain polynomial.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polyalg import Poly, _require_int, as_rational, binomial, degenerate_falling_eval
@@ -17,16 +17,16 @@ from .report import VerificationReport
 from .triangles import triangle
 
 
-@dataclass(frozen=True)
-class ExpWeightedPoly:
+class ExpWeightedPoly(namedtuple("ExpWeightedPoly", "factor")):
     """f(x)*e^x, represented by the polynomial factor f.
 
     X maps f to x*f and D maps f to f' + f, so the representation is closed
     and "divide by e^x" is just reading off the factor. The map f -> f*e^x
     is linear and injective: two values are equal iff their factors are.
+    `+` and `*` act on the value, not as tuple concatenation and repetition.
     """
 
-    factor: Poly
+    __slots__ = ()
 
     def __add__(self, other):
         if not isinstance(other, ExpWeightedPoly):
@@ -55,11 +55,10 @@ def apply_D(v):
     return v.derivative()
 
 
-@dataclass(frozen=True)
-class ShiftedXD:
+class ShiftedXD(namedtuple("ShiftedXD", "shift")):
     """The atom XD + shift."""
 
-    shift: Fraction
+    __slots__ = ()
 
 
 class OperatorWord:
@@ -92,7 +91,10 @@ class OperatorWord:
             raise ValueError("n must be nonnegative")
         lam = as_rational(lam)
         shift = as_rational(shift)
-        return cls(tuple(ShiftedXD(shift - i * lam) for i in range(n)))
+        # shift - i*lam = (a*q - i*p*b) / (b*q) at shift = a/b, lam = p/q.
+        b, q = shift.denominator, lam.denominator
+        aq, pb, bq = shift.numerator * q, lam.numerator * b, b * q
+        return cls(tuple([ShiftedXD(Fraction(aq - i * pb, bq)) for i in range(n)]))
 
     def __mul__(self, other):
         """Composition: (a * b) applied to v is a applied to (b applied to v)."""
@@ -102,12 +104,12 @@ class OperatorWord:
 
     def apply(self, v):
         for atom in reversed(self.atoms):
-            if atom == "X":
-                v = apply_X(v)
-            elif atom == "D":
-                v = apply_D(v)
-            else:
+            if isinstance(atom, ShiftedXD):
                 v = apply_X(apply_D(v)) + v * atom.shift
+            elif atom == "X":
+                v = apply_X(v)
+            else:
+                v = apply_D(v)
         return v
 
     def __repr__(self):
@@ -157,12 +159,13 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
         grid={"n": n, "r": r, "lambda": lam, "m_max": m_max, "proof_threshold": n},
     )
     start = time.perf_counter()
+    product = OperatorWord.shifted_product(n, lam, r)
     words = [
         (c, OperatorWord.x_power(k) * OperatorWord.d_power(k)) for k, c in enumerate(row) if c != 0
     ]
     for m in range(m_max + 1):
         mono = Poly.monomial(m)
-        lhs = apply_degenerate_operator_product(n, lam, r, mono)
+        lhs = product.apply(mono)
         rhs = Poly.ZERO
         for c, word in words:
             rhs = rhs + word.apply(mono) * c
@@ -210,26 +213,29 @@ def commutation_checks(k_max: int, m_max: int, lam) -> VerificationReport:
     )
     start = time.perf_counter()
     monos = [Poly.monomial(m) for m in range(m_max + 1)]
+    d, xd = OperatorWord.d_power(1), OperatorWord((ShiftedXD(Fraction(0)),))
 
     for k in range(1, k_max + 1):
+        xk = OperatorWord.x_power(k)
+        d_xk, xk_d, xk1 = d * xk, xk * d, OperatorWord.x_power(k - 1)
+        xd_xk, xk_xd = xd * xk, xk * OperatorWord((ShiftedXD(Fraction(k)),))
         for m, mono in enumerate(monos):
-            lhs = (OperatorWord.d_power(1) * OperatorWord.x_power(k)).apply(mono) - (
-                OperatorWord.x_power(k) * OperatorWord.d_power(1)
-            ).apply(mono)
-            rhs = OperatorWord.x_power(k - 1).apply(mono) * k
-            report.record({"relation": "commutator-d-xk", "k": k, "m": m}, lhs, rhs)
-
-            lhs = (OperatorWord((ShiftedXD(Fraction(0)),)) * OperatorWord.x_power(k)).apply(mono)
-            rhs = (OperatorWord.x_power(k) * OperatorWord((ShiftedXD(Fraction(k)),))).apply(mono)
+            lhs = d_xk.apply(mono) - xk_d.apply(mono)
+            report.record({"relation": "commutator-d-xk", "k": k, "m": m}, lhs, xk1.apply(mono) * k)
+            lhs, rhs = xd_xk.apply(mono), xk_xd.apply(mono)
             report.record({"relation": "xd-through-xk", "k": k, "m": m}, lhs, rhs)
 
+    # plain[i][m]: the length-i plain product applied to x^m, for the
+    # binomial expansion below.
+    plain = [[OperatorWord.shifted_product(i, lam).apply(mono) for mono in monos] for i in range(5)]
     # Shift parameters a = extra - mult*lam cover the plain, integer-shifted,
     # and lam-multiple-shifted products the recurrence derivations use.
     shifts = [extra - mult * lam for extra in (0, 1, 2) for mult in (0, 1, 2)]
     for a in shifts:
         for n in range(5):
+            product = OperatorWord.shifted_product(n, lam, a)
             for j in range(1, k_max + 1):
-                lhs_word = OperatorWord.shifted_product(n, lam, a) * OperatorWord.x_power(j)
+                lhs_word = product * OperatorWord.x_power(j)
                 rhs_word = OperatorWord.x_power(j) * OperatorWord.shifted_product(n, lam, a + j)
                 for m, mono in enumerate(monos):
                     report.record(
@@ -237,16 +243,16 @@ def commutation_checks(k_max: int, m_max: int, lam) -> VerificationReport:
                         lhs_word.apply(mono),
                         rhs_word.apply(mono),
                     )
+            scalars = [(i, binomial(n, i) * degenerate_falling_eval(a, n - i, lam)) for i in range(n + 1)]
+            scalars = [(i, c) for i, c in scalars if c != 0]
             for m, mono in enumerate(monos):
-                lhs = apply_degenerate_operator_product(n, lam, a, mono)
                 rhs = Poly.ZERO
-                for i in range(n + 1):
-                    c = binomial(n, i) * degenerate_falling_eval(a, n - i, lam)
-                    if c == 0:
-                        continue
-                    rhs = rhs + apply_degenerate_operator_product(i, lam, 0, mono) * c
+                for i, c in scalars:
+                    rhs = rhs + plain[i][m] * c
                 report.record(
-                    {"relation": "shifted-product-binomial", "n": n, "shift": a, "m": m}, lhs, rhs
+                    {"relation": "shifted-product-binomial", "n": n, "shift": a, "m": m},
+                    product.apply(mono),
+                    rhs,
                 )
     report.elapsed = time.perf_counter() - start
     return report
@@ -265,16 +271,17 @@ def factorization_check(total_max: int, lam) -> VerificationReport:
     )
     start = time.perf_counter()
     one = ExpWeightedPoly(Poly.ONE)
+    words = [OperatorWord.shifted_product(m, lam) for m in range(total_max + 1)]
+    plain = [word.apply(one) for word in words]
     for total in range(total_max + 1):
-        direct = apply_degenerate_operator_product(total, lam, 0, one).factor
+        direct = plain[total].factor
         for m in range(total + 1):
             n = total - m
-            after_plain = apply_degenerate_operator_product(m, lam, 0, one)
-            split = apply_degenerate_operator_product(n, lam, -m * lam, after_plain).factor
+            shifted = OperatorWord.shifted_product(n, lam, -m * lam)
+            split = shifted.apply(plain[m]).factor
             report.record({"m": m, "n": n, "order": "plain-first"}, split, direct)
 
-            after_shifted = apply_degenerate_operator_product(n, lam, -m * lam, one)
-            split = apply_degenerate_operator_product(m, lam, 0, after_shifted).factor
+            split = words[m].apply(shifted.apply(one)).factor
             report.record({"m": m, "n": n, "order": "shifted-first"}, split, direct)
     report.elapsed = time.perf_counter() - start
     return report

@@ -102,6 +102,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "Poly":
+        _require_int(power=power)
         if power < 0:
             raise ValueError("power must be nonnegative")
         return cls((coeff,))._shift(power)
@@ -183,7 +184,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        _require_int(n=n)
+        if n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = Poly.ONE
         for _ in range(n):
@@ -245,6 +247,7 @@ _pascal_lock = threading.Lock()
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) from the additive Pascal recurrence; 0 outside 0 <= k <= n."""
+    _require_int(n=n, k=k)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
@@ -264,6 +267,7 @@ def degenerate_falling_product(base: Poly, n: int, lam) -> Poly:
     With base = x this is the deformed power x(x-lam)(x-2*lam)...; any other
     polynomial base (x + r, say) substitutes into the same product.
     """
+    _require_int(n=n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     lam = as_rational(lam)
@@ -288,12 +292,16 @@ def degenerate_falling_factorial(n: int, lam) -> Poly:
 
 
 def degenerate_falling_eval(x0, n: int, lam) -> Fraction:
-    """The value of the deformed power at x0, by direct scalar product."""
+    """The value of the deformed power at x0, on ints: with x0 = a/b and
+    lam = p/q it is prod(a*q - i*p*b) over (b*q)^n, one Fraction at the end."""
+    _require_int(n=n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     x0 = as_rational(x0)
     lam = as_rational(lam)
-    out = Fraction(1)
+    b, q = x0.denominator, lam.denominator
+    aq, pb = x0.numerator * q, lam.numerator * b
+    out = 1
     for i in range(n):
-        out *= x0 - i * lam
-    return out
+        out *= aq - i * pb
+    return Fraction(out, (b * q) ** n)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .polyalg import Poly
@@ -27,13 +27,10 @@ def encode_params(obj):
     return obj
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(namedtuple("Failure", "params lhs rhs")):
     """One grid point where the two sides disagreed, carried verbatim."""
 
-    params: dict
-    lhs: object
-    rhs: object
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -43,7 +40,6 @@ class Failure:
         }
 
 
-@dataclass
 class VerificationReport:
     """Outcome of checking one identity over a parameter grid.
 
@@ -53,11 +49,11 @@ class VerificationReport:
     byte-deterministic.
     """
 
-    identity: str
-    grid: dict
-    checked: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("identity", "grid", "checked", "failures", "elapsed")
+
+    def __init__(self, identity: str, grid: dict, elapsed: float = 0.0):
+        self.identity, self.grid, self.elapsed = identity, grid, elapsed
+        self.checked, self.failures = 0, []
 
     @property
     def passed(self) -> bool:

@@ -203,12 +203,14 @@ def test_verify_rejects_flags_the_identity_never_reads(identity, flags, capsys):
     assert "is not used by --identity" in capsys.readouterr().err
 
 
-def _run_module(module, *argv):
+def _run_python(*args):
     src = str(Path(degenbell.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_module(module, *argv):
+    return _run_python("-m", module, *argv)
 
 
 @pytest.mark.parametrize("module", ["degenbell", "degenbell.cli"])
@@ -217,3 +219,14 @@ def test_module_entry_points_run_the_cli(module):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-4:] == ["3,0,0", "3,1,1", "3,2,3", "3,3,1"]
     assert _run_module(module, "frobnicate").returncode == 2
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # Every CLI operation is a cold interpreter, so its import path is part
+    # of each run's cost; the record classes are plain __slots__/namedtuple.
+    done = _run_python(
+        "-c",
+        "import sys, degenbell.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

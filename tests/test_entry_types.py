@@ -28,7 +28,15 @@ from degenbell.operators import (
     normal_order_check,
     normal_order_suite,
 )
-from degenbell.polyalg import Poly, as_rational
+from degenbell.polyalg import (
+    Poly,
+    as_rational,
+    binomial,
+    degenerate_falling_eval,
+    degenerate_falling_factorial,
+    degenerate_falling_product,
+    falling_factorial,
+)
 from degenbell.series import (
     TruncatedSeries,
     bell_polys_via_series,
@@ -42,6 +50,14 @@ BAD = object()  # marks the argument under test
 
 CASES = [
     (as_rational, (BAD,)),
+    (binomial, (BAD, 0)),
+    (binomial, (3, BAD)),
+    (Poly.monomial, (BAD,)),
+    (Poly.X.__pow__, (BAD,)),
+    (degenerate_falling_product, (Poly.X, BAD, 0)),
+    (falling_factorial, (BAD,)),
+    (degenerate_falling_factorial, (BAD, 0)),
+    (degenerate_falling_eval, (1, BAD, 0)),
     (triangle, (BAD, 0)),
     (TruncatedSeries, (BAD,)),
     (TruncatedSeries(2).coefficient, (BAD,)),

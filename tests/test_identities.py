@@ -136,3 +136,19 @@ def test_three_routes_agree_on_random_lambda_r_n(lam, r, n):
     from_triangle = rbell_poly_degenerate(n, r, lam)
     assert rbell_polys_via_series(n, r, lam)[n] == from_triangle
     assert extract_rbell_via_operators(n, r, lam) == from_triangle
+
+
+def test_split_order_terms_read_each_phi_once(monkeypatch):
+    # The n+1 polynomials phi_l are read once per call, not once per (k, l).
+    calls = []
+
+    def counting(l, r, lam):
+        calls.append(l)
+        return rbell_poly_degenerate(l, r, lam)
+
+    monkeypatch.setattr("degenbell.identities.rbell_poly_degenerate", counting)
+    for m, n, r, lam in [(5, 4, 2, F(-2, 3)), (0, 6, 0, F(1, 2)), (7, 0, 3, F(3))]:
+        calls.clear()
+        rhs = spivey_rhs_rbell(m, n, r, lam)
+        assert len(calls) <= n + 1
+        assert rhs == rbell_poly_degenerate(m + n, r, lam)

@@ -176,3 +176,17 @@ def test_operator_linearity_on_weighted_values(p, q, c):
     combo = u + v * c
     for op in (apply_X, apply_D, lambda w: apply_degenerate_operator_product(3, F(-2, 3), F(2), w)):
         assert op(combo) == op(u) + op(v) * c
+
+
+shift_rationals = st.one_of(
+    st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**4)), st.integers(-5, 5)
+)
+
+
+@given(st.integers(0, 12), shift_rationals, shift_rationals)
+def test_shifted_product_atoms_are_exact_shifts(n, lam, shift):
+    # Built on ints as (a*q - i*p*b) / (b*q); each atom is the reduced
+    # Fraction shift - i*lam.
+    atoms = OperatorWord.shifted_product(n, lam, shift).atoms
+    assert atoms == tuple(ShiftedXD(F(shift) - i * F(lam)) for i in range(n))
+    assert all(type(a) is ShiftedXD and type(a.shift) is F for a in atoms)

@@ -289,3 +289,17 @@ def test_fraction_built_poly_keeps_its_coefficients_as_the_view():
     p = Poly(row)
     assert all(c is r for c, r in zip(p.coeffs, row, strict=True))
     assert p._num == (3, -2, 45) and p._den == 9
+
+
+# lam = p/q and x0 = a/b with zeros, negatives and small and wide parts.
+small_or_wide = st.one_of(rationals, wide_rationals, st.integers(-5, 5), st.just(F(0)))
+
+
+@given(small_or_wide, small_or_wide, st.integers(0, 12))
+def test_degenerate_falling_eval_matches_factor_by_factor_product(x0, lam, n):
+    expected = F(1)
+    for i in range(n):
+        expected *= F(x0) - i * F(lam)
+    got = degenerate_falling_eval(x0, n, lam)
+    assert type(got) is F and got == expected
+    assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1

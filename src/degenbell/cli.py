@@ -74,6 +74,35 @@ _TABLE_COMMANDS = {
 }
 
 
+# Report commands: identity -> (the flags it reads, with their defaults, in
+# the order "parameters" echoes them, where a default of None is echoed only
+# when the flag is given; its suite, called with (grid, lambdas) and looked up
+# by name at run time). oracle-check runs triple-agreement, verify the rest.
+_REPORTS = {
+    "spivey-bell": (
+        {"max_m": 6, "max_n": 6},
+        lambda g, lams: verify_spivey_bell(g["max_m"], g["max_n"], lams),
+    ),
+    "spivey-rbell": (
+        {"max_m": 5, "max_n": 5, "r": 3},
+        lambda g, lams: verify_spivey_rbell(g["max_m"], g["max_n"], g["r"], lams),
+    ),
+    "normal-order": (
+        {"max_n": 8, "r": 3, "max_m": None},
+        lambda g, lams: normal_order_suite(g["max_n"], g["r"], lams, m_max=g["max_m"]),
+    ),
+    "commutation": (
+        {"max_k": 4, "max_m": 6, "max_n": 10},
+        lambda g, lams: commutation_suite(g["max_k"], g["max_m"], lams, total_max=g["max_n"]),
+    ),
+    "triple-agreement": (
+        {"max_n": 12, "r": 3},
+        lambda g, lams: triple_agreement(g["max_n"], g["r"], lams),
+    ),
+}
+_VERIFY_IDENTITIES = tuple(name for name in _REPORTS if name != "triple-agreement")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degenbell",
@@ -82,7 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, identities=()):
+        # The flags the identities read: the bounds, then the shift r.
+        flags = dict.fromkeys(flag for name in identities for flag in _REPORTS[name][0])
+        for flag in sorted(flags, key=lambda flag: flag == "r"):
+            p.add_argument(f"--{flag.replace('_', '-')}", type=_nonneg_int, default=None)
         p.add_argument(
             "--lambda",
             dest="lambdas",
@@ -102,32 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
 
     p = sub.add_parser("verify", help="run one identity suite; exit 0 iff it passes")
-    p.add_argument(
-        "--identity",
-        required=True,
-        choices=("spivey-bell", "spivey-rbell", "normal-order", "commutation"),
-    )
-    p.add_argument("--max-m", type=_nonneg_int, default=None)
-    p.add_argument("--max-n", type=_nonneg_int, default=None)
-    p.add_argument("--max-k", type=_nonneg_int, default=None)
-    p.add_argument("--r", type=_nonneg_int, default=None)
-    common(p)
+    p.add_argument("--identity", required=True, choices=_VERIFY_IDENTITIES)
+    common(p, _VERIFY_IDENTITIES)
 
     p = sub.add_parser("oracle-check", help="triangle vs series vs operator agreement")
-    p.add_argument("--max-n", type=_nonneg_int, default=12)
-    p.add_argument("--r", type=_nonneg_int, default=3)
-    common(p)
+    common(p, ["triple-agreement"])
 
     return parser
-
-
-# verify flags each identity never reads; passing one is a usage error.
-_VERIFY_UNUSED_FLAGS = {
-    "spivey-bell": ("r", "max_k"),
-    "spivey-rbell": ("max_k",),
-    "normal-order": ("max_k",),
-    "commutation": ("r",),
-}
 
 
 def _single_lambda(args, parser) -> Fraction:
@@ -206,54 +220,16 @@ def run(argv=None) -> int:
         return 0
 
     lambdas = list(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDAS)
-    lambda_strs = [format_rational(v) for v in lambdas]
-
-    if args.command == "verify":
-        for flag in _VERIFY_UNUSED_FLAGS[args.identity]:
-            if getattr(args, flag) is not None:
-                parser.error(f"--{flag.replace('_', '-')} is not used by --identity {args.identity}")
-        if args.identity == "spivey-bell":
-            m_max = 6 if args.max_m is None else args.max_m
-            n_max = 6 if args.max_n is None else args.max_n
-            report = verify_spivey_bell(m_max, n_max, lambdas)
-            params = {"identity": args.identity, "max_m": m_max, "max_n": n_max, "lambdas": lambda_strs}
-        elif args.identity == "spivey-rbell":
-            m_max = 5 if args.max_m is None else args.max_m
-            n_max = 5 if args.max_n is None else args.max_n
-            r_max = 3 if args.r is None else args.r
-            report = verify_spivey_rbell(m_max, n_max, r_max, lambdas)
-            params = {
-                "identity": args.identity,
-                "max_m": m_max,
-                "max_n": n_max,
-                "r": r_max,
-                "lambdas": lambda_strs,
-            }
-        elif args.identity == "normal-order":
-            n_max = 8 if args.max_n is None else args.max_n
-            r_max = 3 if args.r is None else args.r
-            report = normal_order_suite(n_max, r_max, lambdas, m_max=args.max_m)
-            params = {"identity": args.identity, "max_n": n_max, "r": r_max, "lambdas": lambda_strs}
-        else:
-            k_max = 4 if args.max_k is None else args.max_k
-            m_max = 6 if args.max_m is None else args.max_m
-            total_max = 10 if args.max_n is None else args.max_n
-            report = commutation_suite(k_max, m_max, lambdas, total_max=total_max)
-            params = {
-                "identity": args.identity,
-                "max_k": k_max,
-                "max_m": m_max,
-                "max_n": total_max,
-                "lambdas": lambda_strs,
-            }
-    else:  # oracle-check; argparse has rejected every other command
-        report = triple_agreement(args.max_n, args.r, lambdas)
-        params = {
-            "identity": "triple-agreement",
-            "max_n": args.max_n,
-            "r": args.r,
-            "lambdas": lambda_strs,
-        }
+    identity = getattr(args, "identity", "triple-agreement")
+    defaults, suite = _REPORTS[identity]
+    given = {flag: value for flag, value in vars(args).items() if value is not None}
+    for flag in dict.fromkeys(f for flags, _ in _REPORTS.values() for f in flags):
+        if flag in given and flag not in defaults:
+            parser.error(f"--{flag.replace('_', '-')} is not used by --identity {identity}")
+    grid = {flag: given.get(flag, default) for flag, default in defaults.items()}
+    report = suite(grid, lambdas)
+    params = {"identity": identity, **{k: v for k, v in grid.items() if v is not None}}
+    params["lambdas"] = [format_rational(v) for v in lambdas]
     records, csv_lines = _report_output(report)
     _emit("verify", params, records, csv_lines, args)
     return 0 if report.passed else 1

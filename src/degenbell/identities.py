@@ -12,10 +12,10 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .operators import extract_bell_via_operators, extract_rbell_via_operators
+from .operators import extract_rbell_via_operators
 from .polyalg import Poly, _require_int, as_rational, binomial, degenerate_falling_eval
 from .report import VerificationReport
-from .series import bell_polys_via_series, rbell_polys_via_series
+from .series import rbell_polys_via_series
 from .triangles import bell_poly_degenerate, rbell_poly_degenerate, triangle
 
 DEFAULT_LAMBDAS = (
@@ -94,6 +94,8 @@ def verify_spivey_bell(m_max: int, n_max: int, lambdas) -> VerificationReport:
     """Exact polynomial (plus x = 1 scalar) check of the split-order Bell
     recurrence over the whole grid; an empty lam list passes vacuously."""
     _require_int(m_max=m_max, n_max=n_max)
+    if m_max < 0 or n_max < 0:
+        raise ValueError("m_max and n_max must be nonnegative")
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="spivey-bell",
@@ -116,6 +118,8 @@ def verify_spivey_rbell(m_max: int, n_max: int, r_max: int, lambdas) -> Verifica
     """Exact polynomial check of the r-shifted split-order recurrence; at
     lam = 0 the classical plain-power form is checked as well."""
     _require_int(m_max=m_max, n_max=n_max, r_max=r_max)
+    if m_max < 0 or n_max < 0 or r_max < 0:
+        raise ValueError("m_max, n_max, r_max must be nonnegative")
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="spivey-rbell",
@@ -141,8 +145,11 @@ def verify_spivey_rbell(m_max: int, n_max: int, r_max: int, lambdas) -> Verifica
 
 def triple_agreement(n_max: int, r_max: int, lambdas) -> VerificationReport:
     """The triangle recurrences, the series extractions, and the operator
-    extractions must produce identical polynomials, for both families."""
+    extractions must produce identical polynomials, for both families; the
+    bell checks record the r = 0 pass again, with no "r" in their params."""
     _require_int(n_max=n_max, r_max=r_max)
+    if n_max < 0 or r_max < 0:
+        raise ValueError("n_max and r_max must be nonnegative")
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="triple-agreement",
@@ -150,26 +157,16 @@ def triple_agreement(n_max: int, r_max: int, lambdas) -> VerificationReport:
     )
     start = time.perf_counter()
     for lam in lambdas:
-        from_series = bell_polys_via_series(n_max, lam)
-        for n in range(n_max + 1):
-            from_triangle = bell_poly_degenerate(n, lam)
-            params = {"family": "bell", "n": n, "lambda": lam}
-            report.record({**params, "pair": "triangle-vs-series"}, from_triangle, from_series[n])
-            report.record(
-                {**params, "pair": "triangle-vs-operators"},
-                from_triangle,
-                extract_bell_via_operators(n, lam),
-            )
         for r in range(r_max + 1):
             from_series = rbell_polys_via_series(n_max, r, lam)
             for n in range(n_max + 1):
                 from_triangle = rbell_poly_degenerate(n, r, lam)
-                params = {"family": "rbell", "n": n, "r": r, "lambda": lam}
-                report.record({**params, "pair": "triangle-vs-series"}, from_triangle, from_series[n])
-                report.record(
-                    {**params, "pair": "triangle-vs-operators"},
-                    from_triangle,
-                    extract_rbell_via_operators(n, r, lam),
-                )
+                routes = {"series": from_series[n], "operators": extract_rbell_via_operators(n, r, lam)}
+                cells = [{"family": "rbell", "n": n, "r": r, "lambda": lam}]
+                if r == 0:
+                    cells.append({"family": "bell", "n": n, "lambda": lam})
+                for params in cells:
+                    for route, other in routes.items():
+                        report.record({**params, "pair": f"triangle-vs-{route}"}, from_triangle, other)
     report.elapsed = time.perf_counter() - start
     return report

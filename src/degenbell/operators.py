@@ -177,6 +177,8 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
 def normal_order_suite(n_max: int, r_max: int, lambdas, m_max: int | None = None) -> VerificationReport:
     """normal_order_check over a whole grid; m ranges to n when m_max is None."""
     _require_int(n_max=n_max, r_max=r_max)
+    if n_max < 0 or r_max < 0:
+        raise ValueError("n_max and r_max must be nonnegative")
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="normal-order",

@@ -7,9 +7,8 @@ floats are rejected at the boundary.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 Rational = Fraction
 
@@ -241,24 +240,14 @@ Poly.ONE = Poly((1,))
 Poly.X = Poly((0, 1))
 
 
-_pascal_rows = [(1,)]
-_pascal_lock = threading.Lock()
-
-
 def binomial(n: int, k: int) -> int:
-    """C(n, k) from the additive Pascal recurrence; 0 outside 0 <= k <= n."""
+    """C(n, k); 0 outside 0 <= k <= n."""
     _require_int(n=n, k=k)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return 0
-    if n >= len(_pascal_rows):
-        with _pascal_lock:
-            while len(_pascal_rows) <= n:
-                prev = _pascal_rows[-1]
-                mid = tuple(prev[i] + prev[i + 1] for i in range(len(prev) - 1))
-                _pascal_rows.append((1,) + mid + (1,))
-    return _pascal_rows[n][k]
+    return comb(n, k)
 
 
 def degenerate_falling_product(base: Poly, n: int, lam) -> Poly:

@@ -203,6 +203,42 @@ def test_verify_rejects_flags_the_identity_never_reads(identity, flags, capsys):
     assert "is not used by --identity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,echo",
+    [
+        (["verify", "--identity", "spivey-bell", "--max-m", "1", "--max-n", "2"],
+         {"identity": "spivey-bell", "max_m": 1, "max_n": 2}),
+        (["verify", "--identity", "spivey-rbell", "--max-m", "1", "--max-n", "2", "--r", "1"],
+         {"identity": "spivey-rbell", "max_m": 1, "max_n": 2, "r": 1}),
+        (["verify", "--identity", "normal-order", "--max-n", "2", "--r", "1", "--max-m", "3"],
+         {"identity": "normal-order", "max_n": 2, "r": 1, "max_m": 3}),
+        (["verify", "--identity", "commutation", "--max-k", "1", "--max-m", "1", "--max-n", "2"],
+         {"identity": "commutation", "max_k": 1, "max_m": 1, "max_n": 2}),
+        (["oracle-check", "--max-n", "2", "--r", "1"],
+         {"identity": "triple-agreement", "max_n": 2, "r": 1}),
+    ],
+)
+def test_report_commands_accept_and_echo_every_flag_they_read(argv, echo, capsys):
+    assert run([*argv, "--lambda=-2/3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parameters"] == {**echo, "lambdas": ["-2/3"]}
+    assert list(doc["parameters"]) == [*echo, "lambdas"]
+    assert doc["records"][0]["status"] == "pass"
+
+
+def test_normal_order_echoes_max_m_only_when_given(capsys):
+    argv = ["verify", "--identity", "normal-order", "--max-n", "2", "--r", "0", "--lambda", "1"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "max_m" not in doc["parameters"]
+    assert doc["records"][0]["grid"]["m_max"] is None
+    assert run(argv + ["--max-m", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parameters"]["max_m"] == 4
+    assert doc["records"][0]["grid"]["m_max"] == 4
+    assert doc["records"][0]["checked"] == 3 * 5
+
+
 def _run_python(*args):
     src = str(Path(degenbell.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

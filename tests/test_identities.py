@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from degenbell.identities import (
     verify_spivey_bell,
     verify_spivey_rbell,
 )
-from degenbell.operators import extract_rbell_via_operators
+from degenbell.operators import extract_rbell_via_operators, normal_order_suite
 from degenbell.polyalg import Poly
 from degenbell.series import rbell_polys_via_series
 from degenbell.triangles import (
@@ -109,7 +110,46 @@ def test_classical_rbell_scalar_values():
 def test_triple_agreement_moderate_grid():
     report = triple_agreement(10, 3, DEFAULT_LAMBDAS)
     assert report.passed, report.failures[:3]
-    assert report.checked > 0
+    # Per lambda: two route pairs for each n, for r = 0..3 and the bell family.
+    assert report.checked == len(DEFAULT_LAMBDAS) * 2 * 11 * 5
+
+
+def test_triple_agreement_bell_family_is_the_r_zero_pass(monkeypatch):
+    # The bell checks compare the r = 0 polynomials, so one wrong r = 0
+    # operator extraction fails under both families, and nowhere else.
+    def off_at_r0_n2(n, r, lam):
+        poly = extract_rbell_via_operators(n, r, lam)
+        return poly + Poly.ONE if (n, r) == (2, 0) else poly
+
+    monkeypatch.setattr("degenbell.identities.extract_rbell_via_operators", off_at_r0_n2)
+    report = triple_agreement(3, 1, [F(1, 2)])
+    assert report.checked == 2 * 4 * 3
+    assert [f.params for f in report.failures] == [
+        {"family": "rbell", "n": 2, "r": 0, "lambda": F(1, 2), "pair": "triangle-vs-operators"},
+        {"family": "bell", "n": 2, "lambda": F(1, 2), "pair": "triangle-vs-operators"},
+    ]
+
+
+@pytest.mark.parametrize(
+    "suite,args",
+    [
+        (verify_spivey_bell, (-1, 3, [0])),
+        (verify_spivey_bell, (3, -1, [0])),
+        (verify_spivey_rbell, (-1, 2, 1, [0])),
+        (verify_spivey_rbell, (2, -1, 1, [0])),
+        (verify_spivey_rbell, (2, 2, -1, [0])),
+        (normal_order_suite, (-1, 1, [0])),
+        (normal_order_suite, (1, -1, [0])),
+        (triple_agreement, (3, -1, [0])),
+        (triple_agreement, (-1, 3, [0])),
+    ],
+)
+def test_suites_reject_negative_bounds(suite, args):
+    # A negative bound used to give an empty grid that passed with checked 0.
+    with pytest.raises(ValueError):
+        suite(*args)
+    with pytest.raises(ValueError):
+        suite(*args[:-1], [])
 
 
 def test_triple_agreement_used_as_lhs_of_recurrence():

@@ -10,19 +10,38 @@ failures, so CI can gate on them.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
+from importlib import import_module
+from math import gcd
+from operator import mul
 
-from .identities import (
-    DEFAULT_LAMBDAS,
-    triple_agreement,
-    verify_spivey_bell,
-    verify_spivey_rbell,
-)
-from .operators import commutation_suite, normal_order_suite
-from .triangles import rbell_poly_degenerate, triangle
+from .triangles import triangle
+
+# The report suites and their default lambdas are imported on the report
+# path only, so a table process loads neither identities nor operators.
+# Module __getattr__ (PEP 562) binds each name as a global on first read,
+# the report path reads them all before dispatch, and from then on the
+# _REPORTS lambdas, the tracer and a patch of degenbell.cli.<name> share
+# that one binding.
+_SUITE_MODULES = {
+    "DEFAULT_LAMBDAS": "identities",
+    "triple_agreement": "identities",
+    "verify_spivey_bell": "identities",
+    "verify_spivey_rbell": "identities",
+    "normal_order_suite": "operators",
+    "commutation_suite": "operators",
+}
+
+
+def __getattr__(name):
+    module = _SUITE_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value
+
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -152,36 +171,84 @@ def _single_lambda(args, parser) -> Fraction:
     return args.lambdas[0]
 
 
-def _triangle_output(tri, max_n: int):
-    records = []
-    csv_lines = ["n,k,value"]
+def _ratio(num: int, den: int) -> str:
+    """num/den in the canonical form of format_rational, with one gcd."""
+    if den == 1:
+        return str(num)
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _formatted_rows(tri, max_n: int):
+    """Yield (n, V, texts, powers) for rows n = 0..max_n: the integer row
+    V(n, k) = q^(n-k) T(n, k), the texts of the entries T(n, k), and
+    q^0 .. q^n (None when q = 1, where V is the row itself)."""
+    powers = None if tri.lam.denominator == 1 else [1]
     for n in range(max_n + 1):
-        for k, value in enumerate(tri.row(n)):
-            text = format_rational(value)
-            records.append({"n": n, "k": k, "value": text})
-            csv_lines.append(f"{n},{k},{text}")
-    return records, csv_lines
+        v = tri.scaled_row(n)
+        if powers is None:
+            yield n, v, list(map(str, v)), None
+            continue
+        if n:
+            powers.append(powers[-1] * tri.lam.denominator)
+        yield n, v, [_ratio(c, powers[n - k]) for k, c in enumerate(v)], powers
 
 
-def _poly_output(polys):
-    records = []
-    csv_lines = ["n,k,value"]
-    for n, p in polys:
-        at_one = format_rational(p(1))
-        texts = [format_rational(c) for c in p.coeffs]
-        records.append({"n": n, "coefficients": texts, "value": at_one})
-        csv_lines.extend(f"{n},{k},{text}" for k, text in enumerate(texts))
-        csv_lines.append(f"{n},phi1,{at_one}")
-    return records, csv_lines
+def _triangle_output(tri, max_n: int, fmt: str) -> list[str]:
+    """The table's CSV lines, or its JSON record texts, for entries (n, k)."""
+    out = ["n,k,value"] if fmt == "csv" else []
+    for n, _, texts, _ in _formatted_rows(tri, max_n):
+        if fmt == "csv":
+            out.extend([f"{n},{k},{text}" for k, text in enumerate(texts)])
+        else:
+            out.extend([
+                f'    {{\n      "n": {n},\n      "k": {k},\n      "value": "{text}"\n    }}'
+                for k, text in enumerate(texts)
+            ])
+    return out
 
 
-def _report_output(report):
-    records = [report.to_json_dict()]
-    csv_lines = [
-        "identity,status,checked,failures",
-        f"{report.identity},{'pass' if report.passed else 'fail'},{report.checked},{len(report.failures)}",
-    ]
-    return records, csv_lines
+def _poly_output(tri, max_n: int, fmt: str) -> list[str]:
+    """The table's CSV lines, or its JSON record texts, for the polynomials
+    sum_k T(n, k) x^k and their values at 1, sum_k V(n, k) q^k over q^n."""
+    out = ["n,k,value"] if fmt == "csv" else []
+    for n, v, texts, powers in _formatted_rows(tri, max_n):
+        if powers is None:
+            at_one = str(sum(v))
+        else:
+            at_one = _ratio(sum(map(mul, v, powers)), powers[n])
+        if fmt == "csv":
+            out.extend([f"{n},{k},{text}" for k, text in enumerate(texts)])
+            out.append(f"{n},phi1,{at_one}")
+        else:
+            coefficients = ",\n".join([f'        "{text}"' for text in texts])
+            out.append(
+                f'    {{\n      "n": {n},\n      "coefficients": [\n{coefficients}\n      ],'
+                f'\n      "value": "{at_one}"\n    }}'
+            )
+    return out
+
+
+def _report_output(report, fmt: str) -> list[str]:
+    """The report's CSV lines, or its one JSON record text, indented to sit
+    inside the document."""
+    if fmt == "csv":
+        return [
+            "identity,status,checked,failures",
+            f"{report.identity},{'pass' if report.passed else 'fail'},{report.checked},{len(report.failures)}",
+        ]
+    import json
+
+    return ["    " + json.dumps(report.to_json_dict(), indent=2).replace("\n", "\n    ")]
+
+
+def _json_value(value, indent: str) -> str:
+    """An int, a string with nothing to escape, or a nonempty list of them,
+    as json.dumps(..., indent=2) writes it at this indent."""
+    if isinstance(value, list):
+        items = ",\n".join(f"{indent}  {_json_value(v, indent)}" for v in value)
+        return f"[\n{items}\n{indent}]"
+    return str(value) if isinstance(value, int) else f'"{value}"'
 
 
 def _write(text: str, out: str) -> None:
@@ -192,12 +259,18 @@ def _write(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _emit(kind: str, parameters: dict, records, csv_lines, args) -> None:
+def _emit(kind: str, parameters: dict, records: list[str], args) -> None:
+    """Write CSV lines, or the JSON document around the record texts: the
+    bytes of json.dumps({"kind", "parameters", "records"}, indent=2)."""
     if args.format == "csv":
-        text = "\n".join(csv_lines) + "\n"
+        text = "\n".join(records) + "\n"
     else:
-        doc = {"kind": kind, "parameters": parameters, "records": records}
-        text = json.dumps(doc, indent=2) + "\n"
+        params = ",\n".join(f'    "{k}": {_json_value(v, "    ")}' for k, v in parameters.items())
+        body = ",\n".join(records)
+        text = (
+            f'{{\n  "kind": "{kind}",\n  "parameters": {{\n{params}\n  }},'
+            f'\n  "records": [\n{body}\n  ]\n}}\n'
+        )
     _write(text, args.out)
 
 
@@ -208,17 +281,16 @@ def run(argv=None) -> int:
     if args.command in _TABLE_COMMANDS:
         lam = _single_lambda(args, parser)
         r = getattr(args, "r", 0)
-        if args.command.endswith("stirling"):
-            records, csv_lines = _triangle_output(triangle(lam, r), args.max_n)
-        else:
-            polys = [(n, rbell_poly_degenerate(n, r, lam)) for n in range(args.max_n + 1)]
-            records, csv_lines = _poly_output(polys)
+        output = _triangle_output if args.command.endswith("stirling") else _poly_output
+        records = output(triangle(lam, r), args.max_n, args.format)
         params = {"max_n": args.max_n, "r": r, "lambda": format_rational(lam)}
         if not hasattr(args, "r"):  # a plain table is the r = 0 case and prints no r
             del params["r"]
-        _emit(args.command, params, records, csv_lines, args)
+        _emit(args.command, params, records, args)
         return 0
 
+    for name in _SUITE_MODULES.keys() - globals().keys():
+        __getattr__(name)  # bind what the _REPORTS lambdas read
     lambdas = list(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDAS)
     identity = getattr(args, "identity", "triple-agreement")
     defaults, suite = _REPORTS[identity]
@@ -230,8 +302,7 @@ def run(argv=None) -> int:
     report = suite(grid, lambdas)
     params = {"identity": identity, **{k: v for k, v in grid.items() if v is not None}}
     params["lambdas"] = [format_rational(v) for v in lambdas]
-    records, csv_lines = _report_output(report)
-    _emit("verify", params, records, csv_lines, args)
+    _emit("verify", params, _report_output(report, args.format), args)
     return 0 if report.passed else 1
 
 

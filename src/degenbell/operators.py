@@ -177,8 +177,10 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
 def normal_order_suite(n_max: int, r_max: int, lambdas, m_max: int | None = None) -> VerificationReport:
     """normal_order_check over a whole grid; m ranges to n when m_max is None."""
     _require_int(n_max=n_max, r_max=r_max)
-    if n_max < 0 or r_max < 0:
-        raise ValueError("n_max and r_max must be nonnegative")
+    if m_max is not None:
+        _require_int(m_max=m_max)
+    if n_max < 0 or r_max < 0 or (m_max is not None and m_max < 0):
+        raise ValueError("n_max, r_max and m_max must be nonnegative")
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="normal-order",
@@ -292,6 +294,8 @@ def factorization_check(total_max: int, lam) -> VerificationReport:
 def commutation_suite(k_max: int, m_max: int, lambdas, total_max: int = 10) -> VerificationReport:
     """commutation_checks plus factorization_check over a list of lam values."""
     _require_int(k_max=k_max, m_max=m_max, total_max=total_max)
+    if k_max < 0 or m_max < 0 or total_max < 0:
+        raise ValueError("k_max, m_max and total_max must be nonnegative")
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="commutation",

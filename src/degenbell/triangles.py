@@ -27,12 +27,12 @@ class StirlingTriangle:
     with T(0, 0) = 1, and are grown on demand. Growth happens under a lock;
     published rows are immutable tuples, safe to share across threads.
 
-    Growth runs on integers. T(m, k) is a polynomial in lam of degree at
-    most m - k with integer coefficients, so with lam = p/q the scaled entry
-    V(m, k) = q^(m-k) T(m, k) is an integer (and so is q^m T(m, k)). It obeys
-    V(m+1, k) = V(m, k-1) + (q(k+r) - m p) V(m, k). Only the newest integer
-    row and the powers of q are kept; each row is published once as
-    Fractions V/q^(m-k).
+    Rows are grown and kept as integers. T(m, k) is a polynomial in lam of
+    degree at most m - k with integer coefficients, so with lam = p/q the
+    scaled entry V(m, k) = q^(m-k) T(m, k) is an integer (and so is
+    q^m T(m, k)). It obeys V(m+1, k) = V(m, k-1) + (q(k+r) - m p) V(m, k).
+    `scaled_row` returns the integers; `row` and `entry` read a tuple of
+    Fractions V/q^(m-k), built on the first read of each row.
     """
 
     def __init__(self, lam, r: int = 0):
@@ -41,9 +41,9 @@ class StirlingTriangle:
             raise ValueError("r must be nonnegative")
         self.lam = as_rational(lam)
         self.r = r
-        self._rows = [(Fraction(1),)]
-        self._frontier = [1]  # V(m, .) for the last published row m
+        self._rows = [(1,)]  # V(m, .) for every grown row m
         self._powers = [1]  # q^0 .. q^m, kept only when q > 1
+        self._views = {}  # m -> row m as Fractions
         self._lock = threading.Lock()
 
     def entry(self, n: int, k: int) -> Fraction:
@@ -53,32 +53,48 @@ class StirlingTriangle:
             raise ValueError("n must be nonnegative")
         if k < 0 or k > n:
             return Fraction(0)
-        self._grow(n)
-        return self._rows[n][k]
+        return self._view(n)[k]
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         """The full row (entries k = 0..n)."""
         _require_int(n=n)
         if n < 0:
             raise ValueError("n must be nonnegative")
+        return self._view(n)
+
+    def scaled_row(self, n: int) -> tuple[int, ...]:
+        """Row n as the integers V(n, k) = q^(n-k) T(n, k), lam = p/q."""
+        _require_int(n=n)
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         self._grow(n)
         return self._rows[n]
+
+    def _view(self, n: int) -> tuple[Fraction, ...]:
+        view = self._views.get(n)
+        if view is None:
+            self._grow(n)
+            v = self._rows[n]
+            if self.lam.denominator == 1:  # integer lam: V is the row itself
+                view = tuple(map(Fraction, v))
+            else:
+                powers = self._powers
+                view = tuple([Fraction(c, powers[n - k]) for k, c in enumerate(v)])
+            view = self._views.setdefault(n, view)  # racing readers share one
+        return view
 
     def _grow(self, n: int) -> None:
         if n < len(self._rows):
             return
         with self._lock:
             p, q = self.lam.numerator, self.lam.denominator
-            v, powers = self._frontier, self._powers
+            v, powers = self._rows[-1], self._powers
             for m in range(len(self._rows) - 1, n):
                 base = q * self.r - m * p
-                v = [a + (q * k + base) * b for k, (a, b) in enumerate(zip([0] + v, v + [0]))]
-                if q == 1:  # integer lam: V is the row itself, no reduction needed
-                    self._rows.append(tuple(map(Fraction, v)))
-                else:
+                v = tuple([a + (q * k + base) * b for k, (a, b) in enumerate(zip((0, *v), (*v, 0)))])
+                if q != 1:
                     powers.append(powers[-1] * q)
-                    self._rows.append(tuple([Fraction(c, d) for c, d in zip(v, reversed(powers))]))
-                self._frontier = v
+                self._rows.append(v)
 
 
 _triangles: dict[tuple[Fraction, int], StirlingTriangle] = {}
@@ -153,9 +169,15 @@ def bell_number_degenerate(n: int, lam) -> Fraction:
 
 
 def rbell_poly_degenerate(n: int, r: int, lam) -> Poly:
-    """Row n of the (lam, r) triangle read as a polynomial: sum_k T(n,k) x^k."""
+    """Row n of the (lam, r) triangle read as a polynomial: sum_k T(n,k) x^k,
+    built from the integer row as numerators V(n,k) q^k over q^n."""
     _require_int(n=n)
-    return Poly(triangle(lam, r).row(n))
+    tri = triangle(lam, r)
+    v = tri.scaled_row(n)
+    if tri.lam.denominator == 1:
+        return Poly._reduce(list(v), 1)
+    powers = tri._powers
+    return Poly._reduce([c * powers[k] for k, c in enumerate(v)], powers[n])
 
 
 _BRUTE_FORCE_LIMIT = 10

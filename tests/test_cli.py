@@ -257,6 +257,62 @@ def test_module_entry_points_run_the_cli(module):
     assert _run_module(module, "frobnicate").returncode == 2
 
 
+# Every name degenbell exported when its __init__ imported each module.
+PACKAGE_EXPORTS = (
+    "DEFAULT_LAMBDAS", "classical_spivey_terms", "spivey_bell_terms", "spivey_rhs_bell",
+    "spivey_rhs_rbell", "triple_agreement", "verify_spivey_bell", "verify_spivey_rbell",
+    "ExpWeightedPoly", "OperatorWord", "apply_D", "apply_X", "apply_degenerate_operator_product",
+    "commutation_checks", "commutation_suite", "extract_bell_via_operators",
+    "extract_rbell_via_operators", "factorization_check", "normal_order_check",
+    "normal_order_suite", "Poly", "Rational", "as_rational", "binomial",
+    "degenerate_falling_eval", "degenerate_falling_factorial", "degenerate_falling_product",
+    "falling_factorial", "Failure", "VerificationReport", "TruncatedSeries",
+    "bell_polys_via_series", "degenerate_exp_series", "rbell_polys_via_series",
+    "stirling_rows_via_series", "StirlingTriangle", "bell_number_classical_bruteforce",
+    "bell_number_degenerate", "bell_poly_degenerate", "r_stirling2_degenerate",
+    "rbell_poly_degenerate", "restricted_growth_strings", "stirling2_degenerate",
+    "stirling_via_basis_expansion", "triangle",
+)
+
+
+@pytest.mark.parametrize("command", ["stirling", "rstirling", "bell", "rbell"])
+def test_table_command_loads_only_polyalg_and_triangles(command):
+    # The package and the CLI import the report modules on first use, so a
+    # table process never compiles or runs them.
+    code = (
+        "import sys; from degenbell.cli import run; "
+        f"run(['{command}', '--max-n', '4', '--lambda=-2/3', '--format', 'json']); "
+        "print(sorted(m for m in sys.modules if m.startswith('degenbell')"
+        " or m in ('dataclasses', 'inspect', 'json')), file=sys.stderr)"
+    )
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == str(["degenbell", "degenbell.cli", "degenbell.polyalg", "degenbell.triangles"])
+    assert json.loads(done.stdout)["kind"] == command
+
+
+@pytest.mark.parametrize("name", PACKAGE_EXPORTS)
+def test_every_package_export_still_imports(name):
+    namespace = {}
+    exec(f"from degenbell import {name}", namespace)
+    assert namespace[name] is getattr(degenbell, name)
+    assert name in dir(degenbell)
+
+
+def test_unknown_package_and_cli_attributes_raise_attribute_error():
+    # The tracer patches by getattr(module, name, None); a lazy module must
+    # answer an unknown name with AttributeError, not an import or a value.
+    import degenbell.cli as cli
+
+    for module in (degenbell, cli):
+        assert getattr(module, "no_such_name", None) is None
+        with pytest.raises(AttributeError):
+            module.no_such_name
+    with pytest.raises(ImportError):
+        exec("from degenbell import no_such_name", {})
+    assert cli.verify_spivey_bell is degenbell.verify_spivey_bell
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # Every CLI operation is a cold interpreter, so its import path is part
     # of each run's cost; the record classes are plain __slots__/namedtuple.

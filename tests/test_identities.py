@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,11 @@ from degenbell.identities import (
     verify_spivey_bell,
     verify_spivey_rbell,
 )
-from degenbell.operators import extract_rbell_via_operators, normal_order_suite
+from degenbell.operators import (
+    commutation_suite,
+    extract_rbell_via_operators,
+    normal_order_suite,
+)
 from degenbell.polyalg import Poly
 from degenbell.series import rbell_polys_via_series
 from degenbell.triangles import (
@@ -142,6 +147,10 @@ def test_triple_agreement_bell_family_is_the_r_zero_pass(monkeypatch):
         (normal_order_suite, (1, -1, [0])),
         (triple_agreement, (3, -1, [0])),
         (triple_agreement, (-1, 3, [0])),
+        (partial(normal_order_suite, m_max=-1), (1, 1, [0])),
+        (commutation_suite, (-1, 1, [0])),
+        (commutation_suite, (1, -1, [0])),
+        (partial(commutation_suite, total_max=-1), (1, 1, [0])),
     ],
 )
 def test_suites_reject_negative_bounds(suite, args):

@@ -3,6 +3,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +235,36 @@ def test_rows_grown_at_once_equal_rows_grown_one_by_one(lam, r, n):
         assert all(type(c) is F for c in one_by_one.row(m))
 
 
+@settings(max_examples=60, deadline=None)
+@given(lam=lambdas, r=st.integers(0, 4), n=st.integers(0, 25))
+@example(lam=F(-3), r=2, n=25)
+@example(lam=F(0), r=0, n=0)
+@example(lam=F(-10744, 8077), r=3, n=25)
+def test_rbell_poly_from_integer_row_equals_poly_of_fraction_row(lam, r, n):
+    # rbell_poly_degenerate reduces V(n,k) q^k over q^n once; the public
+    # row is still a tuple of reduced Fractions, built once and shared.
+    row = triangle(lam, r).row(n)
+    assert type(row) is tuple
+    assert all(type(c) is F and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1 for c in row)
+    assert triangle(lam, r).row(n) is row
+    assert [triangle(lam, r).entry(n, k) for k in range(n + 1)] == list(row)
+    poly = rbell_poly_degenerate(n, r, lam)
+    assert poly == Poly(row)
+    assert hash(poly) == hash(Poly(row))
+    assert poly.coeffs == row
+
+
+def test_scaled_row_is_q_power_times_row():
+    tri = StirlingTriangle(F(-5, 7), 2)
+    for n in range(12):
+        v = tri.scaled_row(n)
+        assert all(type(c) is int for c in v)
+        assert [F(c, 7 ** (n - k)) for k, c in enumerate(v)] == list(tri.row(n))
+    assert StirlingTriangle(F(3), 1).scaled_row(5) == tuple(StirlingTriangle(F(3), 1).row(5))
+    with pytest.raises(ValueError):
+        tri.scaled_row(-1)
+
+
 NOT_INTS = [1.5, 2.0, True, False, F(1), "1", None]
 
 
@@ -243,6 +274,7 @@ def test_entry_points_reject_non_int_indices(bad):
         lambda: StirlingTriangle(F(1, 2), bad),
         lambda: triangle(F(1, 2), bad),
         lambda: triangle(F(1, 2), 1).row(bad),
+        lambda: triangle(F(1, 2), 1).scaled_row(bad),
         lambda: triangle(F(1, 2), 1).entry(bad, 0),
         lambda: triangle(F(1, 2), 1).entry(2, bad),
         lambda: stirling2_degenerate(bad, 1, 0),
@@ -276,13 +308,20 @@ def test_float_r_never_reaches_the_cache():
 def test_concurrent_growth_matches_sequential_growth():
     lam, r, top = F(-5, 7), 2, 60
     expected = [StirlingTriangle(lam, r).row(n) for n in range(top + 1)]
+    expected_scaled = [StirlingTriangle(lam, r).scaled_row(n) for n in range(top + 1)]
     shared = StirlingTriangle(lam, r)
     mismatches = []
 
     def reader(seed):
         order = list(range(top + 1))
         random.Random(seed).shuffle(order)
-        for n in order:
+        for i, n in enumerate(order):
+            # Mix the integer rows, the lazily built Fraction rows and
+            # single entries, so views are built while rows still grow.
+            if i % 3 == 0 and shared.scaled_row(n) != expected_scaled[n]:
+                mismatches.append(n)
+            if i % 3 == 1 and shared.entry(n, n // 2) != expected[n][n // 2]:
+                mismatches.append(n)
             if shared.row(n) != expected[n]:
                 mismatches.append(n)
 
@@ -299,3 +338,4 @@ def test_concurrent_growth_matches_sequential_growth():
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
     assert len(shared._rows) == top + 1
+    assert all(shared.row(n) is shared.row(n) for n in range(top + 1))

@@ -22,34 +22,36 @@ from .triangles import triangle
 # The report suites and their default lambdas are imported on the report
 # path only, so a table process loads neither identities nor operators.
 # Module __getattr__ (PEP 562) binds each name as a global on first read,
-# the report path reads them all before dispatch, and from then on the
-# _REPORTS lambdas, the tracer and a patch of degenbell.cli.<name> share
-# that one binding.
-_SUITE_MODULES = {
-    "DEFAULT_LAMBDAS": "identities",
-    "triple_agreement": "identities",
-    "verify_spivey_bell": "identities",
-    "verify_spivey_rbell": "identities",
-    "normal_order_suite": "operators",
-    "commutation_suite": "operators",
-}
+# through the package's own lazy exports; the report path reads them all
+# before dispatch, and from then on the _REPORTS lambdas, the tracer and a
+# patch of degenbell.cli.<name> share that one binding.
+_SUITE_NAMES = (
+    "DEFAULT_LAMBDAS",
+    "triple_agreement",
+    "verify_spivey_bell",
+    "verify_spivey_rbell",
+    "normal_order_suite",
+    "commutation_suite",
+)
 
 
 def __getattr__(name):
-    module = _SUITE_MODULES.get(name)
-    if module is None:
+    if name not in _SUITE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    value = globals()[name] = getattr(import_module(__package__), name)
     return value
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# ASCII digits only: \d and int() also take other scripts' digits, and int()
+# takes a sign, surrounding spaces and underscores.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
     """Strict 'p' or 'p/q' with nonzero q; decimal notation is rejected so no
     float ever sneaks into the exact pipeline."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not an integer or p/q rational: {text!r}")
     if "/" in text:
         p, q = text.split("/")
@@ -74,10 +76,9 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("bounds must be nonnegative")
     return value
@@ -271,7 +272,12 @@ def _emit(kind: str, parameters: dict, records: list[str], args) -> None:
             f'{{\n  "kind": "{kind}",\n  "parameters": {{\n{params}\n  }},'
             f'\n  "records": [\n{body}\n  ]\n}}\n'
         )
-    _write(text, args.out)
+    try:
+        _write(text, args.out)
+    except OSError as exc:
+        # Exit 1 means "the report has failures"; a failed write is exit 2.
+        sys.stderr.write(f"degenbell: error: cannot write {args.out}: {exc.strerror}\n")
+        raise SystemExit(2) from None
 
 
 def run(argv=None) -> int:
@@ -289,7 +295,7 @@ def run(argv=None) -> int:
         _emit(args.command, params, records, args)
         return 0
 
-    for name in _SUITE_MODULES.keys() - globals().keys():
+    for name in {*_SUITE_NAMES} - globals().keys():
         __getattr__(name)  # bind what the _REPORTS lambdas read
     lambdas = list(args.lambdas) if args.lambdas else list(DEFAULT_LAMBDAS)
     identity = getattr(args, "identity", "triple-agreement")

@@ -9,11 +9,10 @@ set partitions.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from .operators import extract_rbell_via_operators
-from .polyalg import Poly, _require_int, as_rational, binomial, degenerate_falling_eval
+from .polyalg import Poly, _require_size, as_rational, binomial, degenerate_falling_eval
 from .report import VerificationReport
 from .series import rbell_polys_via_series
 from .triangles import bell_poly_degenerate, rbell_poly_degenerate, triangle
@@ -37,9 +36,7 @@ def _split_order_terms(m: int, n: int, r: int, lam, power):
     A term whose scalar is 0 is Poly.ZERO, built without a product, so term
     arrays for different powers line up index by index.
     """
-    _require_int(m=m, n=n, r=r)
-    if m < 0 or n < 0 or r < 0:
-        raise ValueError("m, n, r must be nonnegative")
+    _require_size(m=m, n=n, r=r)
     row = triangle(lam, r).row(m)
     phis = [(binomial(n, l), rbell_poly_degenerate(l, r, lam)) for l in range(n + 1)]
     for k in range(m + 1):
@@ -93,15 +90,12 @@ def _classical_rbell_rhs(m: int, n: int, r: int) -> Poly:
 def verify_spivey_bell(m_max: int, n_max: int, lambdas) -> VerificationReport:
     """Exact polynomial (plus x = 1 scalar) check of the split-order Bell
     recurrence over the whole grid; an empty lam list passes vacuously."""
-    _require_int(m_max=m_max, n_max=n_max)
-    if m_max < 0 or n_max < 0:
-        raise ValueError("m_max and n_max must be nonnegative")
+    _require_size(m_max=m_max, n_max=n_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="spivey-bell",
         grid={"m_max": m_max, "n_max": n_max, "lambdas": lambdas},
     )
-    start = time.perf_counter()
     for lam in lambdas:
         for m in range(m_max + 1):
             for n in range(n_max + 1):
@@ -110,22 +104,18 @@ def verify_spivey_bell(m_max: int, n_max: int, lambdas) -> VerificationReport:
                 params = {"m": m, "n": n, "lambda": lam}
                 report.record(params, target, rhs)
                 report.record({**params, "at": "x=1"}, target(1), rhs(1))
-    report.elapsed = time.perf_counter() - start
     return report
 
 
 def verify_spivey_rbell(m_max: int, n_max: int, r_max: int, lambdas) -> VerificationReport:
     """Exact polynomial check of the r-shifted split-order recurrence; at
     lam = 0 the classical plain-power form is checked as well."""
-    _require_int(m_max=m_max, n_max=n_max, r_max=r_max)
-    if m_max < 0 or n_max < 0 or r_max < 0:
-        raise ValueError("m_max, n_max, r_max must be nonnegative")
+    _require_size(m_max=m_max, n_max=n_max, r_max=r_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="spivey-rbell",
         grid={"m_max": m_max, "n_max": n_max, "r_max": r_max, "lambdas": lambdas},
     )
-    start = time.perf_counter()
     for lam in lambdas:
         for r in range(r_max + 1):
             for m in range(m_max + 1):
@@ -139,7 +129,6 @@ def verify_spivey_rbell(m_max: int, n_max: int, r_max: int, lambdas) -> Verifica
                             target,
                             _classical_rbell_rhs(m, n, r),
                         )
-    report.elapsed = time.perf_counter() - start
     return report
 
 
@@ -147,15 +136,12 @@ def triple_agreement(n_max: int, r_max: int, lambdas) -> VerificationReport:
     """The triangle recurrences, the series extractions, and the operator
     extractions must produce identical polynomials, for both families; the
     bell checks record the r = 0 pass again, with no "r" in their params."""
-    _require_int(n_max=n_max, r_max=r_max)
-    if n_max < 0 or r_max < 0:
-        raise ValueError("n_max and r_max must be nonnegative")
+    _require_size(n_max=n_max, r_max=r_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="triple-agreement",
         grid={"n_max": n_max, "r_max": r_max, "lambdas": lambdas},
     )
-    start = time.perf_counter()
     for lam in lambdas:
         for r in range(r_max + 1):
             from_series = rbell_polys_via_series(n_max, r, lam)
@@ -168,5 +154,4 @@ def triple_agreement(n_max: int, r_max: int, lambdas) -> VerificationReport:
                 for params in cells:
                     for route, other in routes.items():
                         report.record({**params, "pair": f"triangle-vs-{route}"}, from_triangle, other)
-    report.elapsed = time.perf_counter() - start
     return report

@@ -8,11 +8,10 @@ factors applied to e^x be read off as a plain polynomial.
 
 from __future__ import annotations
 
-import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .polyalg import Poly, _require_int, as_rational, binomial, degenerate_falling_eval
+from .polyalg import Poly, _require_size, as_rational, binomial, degenerate_falling_eval
 from .report import VerificationReport
 from .triangles import triangle
 
@@ -75,20 +74,18 @@ class OperatorWord:
 
     @classmethod
     def x_power(cls, k: int) -> "OperatorWord":
-        _require_int(k=k)
+        _require_size(k=k)
         return cls(("X",) * k)
 
     @classmethod
     def d_power(cls, k: int) -> "OperatorWord":
-        _require_int(k=k)
+        _require_size(k=k)
         return cls(("D",) * k)
 
     @classmethod
     def shifted_product(cls, n: int, lam, shift=0) -> "OperatorWord":
         """(XD + shift)(XD + shift - lam)...(XD + shift - (n-1)lam), left to right."""
-        _require_int(n=n)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        _require_size(n=n)
         lam = as_rational(lam)
         shift = as_rational(shift)
         # shift - i*lam = (a*q - i*p*b) / (b*q) at shift = a/b, lam = p/q.
@@ -134,9 +131,7 @@ def extract_rbell_via_operators(n: int, r: int, lam) -> Poly:
     r-shifted Bell-type polynomial times e^x; the e^x never leaves the
     representation.
     """
-    _require_int(n=n, r=r)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _require_size(n=n, r=r)
     return apply_degenerate_operator_product(n, lam, r, ExpWeightedPoly(Poly.ONE)).factor
 
 
@@ -149,16 +144,13 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
     operator identity itself, not just the sampled monomials; the grid
     records that threshold.
     """
-    _require_int(n=n, r=r, m_max=m_max)
-    if n < 0 or r < 0 or m_max < 0:
-        raise ValueError("n, r, m_max must be nonnegative")
+    _require_size(n=n, r=r, m_max=m_max)
     lam = as_rational(lam)
     row = triangle(lam, r).row(n)
     report = VerificationReport(
         identity="normal-order",
         grid={"n": n, "r": r, "lambda": lam, "m_max": m_max, "proof_threshold": n},
     )
-    start = time.perf_counter()
     product = OperatorWord.shifted_product(n, lam, r)
     words = [
         (c, OperatorWord.x_power(k) * OperatorWord.d_power(k)) for k, c in enumerate(row) if c != 0
@@ -170,29 +162,22 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
         for c, word in words:
             rhs = rhs + word.apply(mono) * c
         report.record({"m": m}, lhs, rhs)
-    report.elapsed = time.perf_counter() - start
     return report
 
 
 def normal_order_suite(n_max: int, r_max: int, lambdas, m_max: int | None = None) -> VerificationReport:
     """normal_order_check over a whole grid; m ranges to n when m_max is None."""
-    _require_int(n_max=n_max, r_max=r_max)
-    if m_max is not None:
-        _require_int(m_max=m_max)
-    if n_max < 0 or r_max < 0 or (m_max is not None and m_max < 0):
-        raise ValueError("n_max, r_max and m_max must be nonnegative")
+    _require_size(n_max=n_max, r_max=r_max, **({} if m_max is None else {"m_max": m_max}))
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="normal-order",
         grid={"n_max": n_max, "r_max": r_max, "lambdas": lambdas, "m_max": m_max},
     )
-    start = time.perf_counter()
     for lam in lambdas:
         for r in range(r_max + 1):
             for n in range(n_max + 1):
                 sub = normal_order_check(n, r, lam, n if m_max is None else m_max)
                 report.absorb(sub, n=n, r=r, **{"lambda": lam})
-    report.elapsed = time.perf_counter() - start
     return report
 
 
@@ -207,15 +192,12 @@ def commutation_checks(k_max: int, m_max: int, lam) -> VerificationReport:
     Each relation is applied to x^m for m = 0..m_max, with word lengths n
     up to 4 for the product relations.
     """
-    _require_int(k_max=k_max, m_max=m_max)
-    if k_max < 0 or m_max < 0:
-        raise ValueError("k_max and m_max must be nonnegative")
+    _require_size(k_max=k_max, m_max=m_max)
     lam = as_rational(lam)
     report = VerificationReport(
         identity="commutation",
         grid={"k_max": k_max, "m_max": m_max, "lambda": lam, "n_max": 4},
     )
-    start = time.perf_counter()
     monos = [Poly.monomial(m) for m in range(m_max + 1)]
     d, xd = OperatorWord.d_power(1), OperatorWord((ShiftedXD(Fraction(0)),))
 
@@ -258,7 +240,6 @@ def commutation_checks(k_max: int, m_max: int, lam) -> VerificationReport:
                     product.apply(mono),
                     rhs,
                 )
-    report.elapsed = time.perf_counter() - start
     return report
 
 
@@ -266,14 +247,11 @@ def factorization_check(total_max: int, lam) -> VerificationReport:
     """Splitting a length-(m+n) plain product applied to e^x: the length-m
     block and the (-m*lam)-shifted length-n block give the same result in
     either order."""
-    _require_int(total_max=total_max)
-    if total_max < 0:
-        raise ValueError("total_max must be nonnegative")
+    _require_size(total_max=total_max)
     lam = as_rational(lam)
     report = VerificationReport(
         identity="factorization", grid={"total_max": total_max, "lambda": lam}
     )
-    start = time.perf_counter()
     one = ExpWeightedPoly(Poly.ONE)
     words = [OperatorWord.shifted_product(m, lam) for m in range(total_max + 1)]
     plain = [word.apply(one) for word in words]
@@ -287,23 +265,18 @@ def factorization_check(total_max: int, lam) -> VerificationReport:
 
             split = words[m].apply(shifted.apply(one)).factor
             report.record({"m": m, "n": n, "order": "shifted-first"}, split, direct)
-    report.elapsed = time.perf_counter() - start
     return report
 
 
 def commutation_suite(k_max: int, m_max: int, lambdas, total_max: int = 10) -> VerificationReport:
     """commutation_checks plus factorization_check over a list of lam values."""
-    _require_int(k_max=k_max, m_max=m_max, total_max=total_max)
-    if k_max < 0 or m_max < 0 or total_max < 0:
-        raise ValueError("k_max, m_max and total_max must be nonnegative")
+    _require_size(k_max=k_max, m_max=m_max, total_max=total_max)
     lambdas = [as_rational(v) for v in lambdas]
     report = VerificationReport(
         identity="commutation",
         grid={"k_max": k_max, "m_max": m_max, "total_max": total_max, "lambdas": lambdas},
     )
-    start = time.perf_counter()
     for lam in lambdas:
         report.absorb(commutation_checks(k_max, m_max, lam), **{"lambda": lam})
         report.absorb(factorization_check(total_max, lam), **{"lambda": lam, "relation": "factorization"})
-    report.elapsed = time.perf_counter() - start
     return report

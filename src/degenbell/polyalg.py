@@ -31,6 +31,18 @@ def _require_int(**values) -> None:
             raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _require_size(**values) -> None:
+    """Reject anything but a nonnegative int: a size, a bound, a shift r or
+    a word length. Every type is checked before any sign, so a call with a
+    float and a negative int raises TypeError."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -101,9 +113,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, power: int, coeff=1) -> "Poly":
-        _require_int(power=power)
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        _require_size(power=power)
         return cls((coeff,))._shift(power)
 
     def _shift(self, k: int) -> "Poly":
@@ -183,9 +193,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        _require_int(n=n)
-        if n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _require_size(n=n)
         out = Poly.ONE
         for _ in range(n):
             out = out * self
@@ -213,27 +221,6 @@ class Poly:
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append("x" if i == 1 else f"x^{i}")
-            elif c == -1:
-                terms.append("-x" if i == 1 else f"-x^{i}")
-            else:
-                terms.append(f"{c}*x" if i == 1 else f"{c}*x^{i}")
-        out = terms[0]
-        for term in terms[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
-
 
 Poly.ZERO = Poly()
 Poly.ONE = Poly((1,))
@@ -242,9 +229,8 @@ Poly.X = Poly((0, 1))
 
 def binomial(n: int, k: int) -> int:
     """C(n, k); 0 outside 0 <= k <= n."""
-    _require_int(n=n, k=k)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(k=k)
+    _require_size(n=n)
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -256,9 +242,7 @@ def degenerate_falling_product(base: Poly, n: int, lam) -> Poly:
     With base = x this is the deformed power x(x-lam)(x-2*lam)...; any other
     polynomial base (x + r, say) substitutes into the same product.
     """
-    _require_int(n=n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_size(n=n)
     lam = as_rational(lam)
     out = Poly.ONE
     for i in range(n):
@@ -283,9 +267,7 @@ def degenerate_falling_factorial(n: int, lam) -> Poly:
 def degenerate_falling_eval(x0, n: int, lam) -> Fraction:
     """The value of the deformed power at x0, on ints: with x0 = a/b and
     lam = p/q it is prod(a*q - i*p*b) over (b*q)^n, one Fraction at the end."""
-    _require_int(n=n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_size(n=n)
     x0 = as_rational(x0)
     lam = as_rational(lam)
     b, q = x0.denominator, lam.denominator

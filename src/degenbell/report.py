@@ -44,15 +44,13 @@ class VerificationReport:
     """Outcome of checking one identity over a parameter grid.
 
     Passes iff `failures` is empty; failures carry both sides so a breakage
-    produces a diffable artifact rather than a bare boolean. `elapsed` is
-    wall-clock seconds and is never written to JSON, so emitted reports stay
-    byte-deterministic.
+    produces a diffable artifact rather than a bare boolean.
     """
 
-    __slots__ = ("identity", "grid", "checked", "failures", "elapsed")
+    __slots__ = ("identity", "grid", "checked", "failures")
 
-    def __init__(self, identity: str, grid: dict, elapsed: float = 0.0):
-        self.identity, self.grid, self.elapsed = identity, grid, elapsed
+    def __init__(self, identity: str, grid: dict):
+        self.identity, self.grid = identity, grid
         self.checked, self.failures = 0, []
 
     @property

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .polyalg import Poly, _require_int, as_rational
+from .polyalg import Poly, _require_int, _require_size, as_rational
 
 
 class TruncatedSeries:
@@ -23,9 +23,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
-        _require_int(order=order)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        _require_size(order=order)
         cs = list(coeffs)
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the truncation order admits")
@@ -156,9 +154,7 @@ def rbell_polys_via_series(n_max: int, r: int, lam) -> list[Poly]:
     second factor is the one-series, and the Cauchy product returns the first
     factor unchanged.
     """
-    _require_int(n_max=n_max, r=r)
-    if n_max < 0 or r < 0:
-        raise ValueError("n_max and r must be nonnegative")
+    _require_size(n_max=n_max, r=r)
     e = degenerate_exp_series(Poly.ONE, lam, n_max)
     inner = (e - TruncatedSeries.one(n_max)).scale(Poly.X)
     egf = inner.exp() * degenerate_exp_series(Poly.constant(r), lam, n_max)
@@ -168,9 +164,7 @@ def rbell_polys_via_series(n_max: int, r: int, lam) -> list[Poly]:
 def stirling_rows_via_series(n_max: int, k: int, r: int, lam) -> list[Fraction]:
     """Triangle column k for n = k..n_max from its generating function
     (e_lam(t) - 1)^k / k! times the deformed exponential of r."""
-    _require_int(n_max=n_max, k=k, r=r)
-    if k < 0 or r < 0:
-        raise ValueError("k and r must be nonnegative")
+    _require_size(n_max=n_max, k=k, r=r)
     if n_max < k:
         raise ValueError("n_max must be at least k")
     e = degenerate_exp_series(Poly.ONE, lam, n_max)

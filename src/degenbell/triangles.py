@@ -14,6 +14,7 @@ from fractions import Fraction
 from .polyalg import (
     Poly,
     _require_int,
+    _require_size,
     as_rational,
     degenerate_falling_product,
     falling_factorial,
@@ -36,9 +37,7 @@ class StirlingTriangle:
     """
 
     def __init__(self, lam, r: int = 0):
-        _require_int(r=r)
-        if r < 0:
-            raise ValueError("r must be nonnegative")
+        _require_size(r=r)
         self.lam = as_rational(lam)
         self.r = r
         self._rows = [(1,)]  # V(m, .) for every grown row m
@@ -48,25 +47,20 @@ class StirlingTriangle:
 
     def entry(self, n: int, k: int) -> Fraction:
         """Entry (n, k); 0 for k < 0 or k > n."""
-        _require_int(n=n, k=k)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        _require_int(k=k)
+        _require_size(n=n)
         if k < 0 or k > n:
             return Fraction(0)
         return self._view(n)[k]
 
     def row(self, n: int) -> tuple[Fraction, ...]:
         """The full row (entries k = 0..n)."""
-        _require_int(n=n)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        _require_size(n=n)
         return self._view(n)
 
     def scaled_row(self, n: int) -> tuple[int, ...]:
         """Row n as the integers V(n, k) = q^(n-k) T(n, k), lam = p/q."""
-        _require_int(n=n)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        _require_size(n=n)
         self._grow(n)
         return self._rows[n]
 
@@ -141,9 +135,7 @@ def stirling_via_basis_expansion(n: int, r: int, lam) -> list[Fraction]:
     peeling the leading coefficient from degree n down to 0 is exact. This
     never touches the triangle recurrences and serves as their oracle.
     """
-    _require_int(n=n, r=r)
-    if n < 0 or r < 0:
-        raise ValueError("n and r must be nonnegative")
+    _require_size(n=n, r=r)
     lam = as_rational(lam)
     shifted = degenerate_falling_product(Poly.X + Poly.constant(r), n, lam)
     coeffs = [Fraction(0)] * (n + 1)
@@ -191,9 +183,7 @@ def restricted_growth_strings(n: int):
     by at most one, so each partition appears exactly once. For n = 0 the
     single empty string encodes the empty partition.
     """
-    _require_int(n=n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_size(n=n)
     if n == 0:
         yield ()
         return
@@ -216,9 +206,7 @@ def bell_number_classical_bruteforce(n: int) -> int:
     Exponential-time oracle for the lam = 0, r = 0 corner; n > 10 is rejected
     to flag misuse of the enumeration path.
     """
-    _require_int(n=n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_size(n=n)
     if n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force enumeration is capped at n = {_BRUTE_FORCE_LIMIT}")
     return sum(1 for _ in restricted_growth_strings(n))

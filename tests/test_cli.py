@@ -186,6 +186,26 @@ def test_negative_bound_is_usage_error():
 
 
 @pytest.mark.parametrize(
+    "flag,text",
+    [
+        ("--lambda", "1/2\n"),
+        ("--lambda", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("--max-n", "+5"),
+        ("--max-n", " 5"),
+        ("--max-n", "1_0"),
+        ("--max-n", "\u0662"),  # ARABIC-INDIC DIGIT TWO
+        ("--r", "+1"),
+    ],
+)
+def test_numbers_on_the_command_line_are_strict_ascii(flag, text, capsys):
+    args = {"--max-n": "2", "--r": "1", "--lambda": "0", flag: text}
+    with pytest.raises(SystemExit) as exc:
+        run(["rbell", *[token for pair in args.items() for token in pair]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
     "identity,flags",
     [
         ("spivey-bell", ["--r", "7"]),
@@ -247,6 +267,23 @@ def _run_python(*args):
 
 def _run_module(module, *argv):
     return _run_python("-m", module, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stirling", "--max-n", "3", "--lambda", "0"],
+        ["verify", "--identity", "spivey-bell", "--max-m", "1", "--max-n", "1"],
+    ],
+)
+def test_unwritable_out_is_a_usage_error(argv, tmp_path):
+    # Exit 1 is reserved for a report with failures, so CI can tell the two apart.
+    path = tmp_path / "missing" / "out.json"
+    done = _run_module("degenbell", *argv, "--out", str(path))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"degenbell: error: cannot write {path}: ")
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("module", ["degenbell", "degenbell.cli"])

@@ -3,7 +3,9 @@
 A bool is an int subclass, so without an explicit check True silently acts
 as 1 (a bool r ran as r = 1, a bool lambda built the lambda = 1 triangle);
 a float fails late or not at all. The promise is exact arithmetic on ints
-and rationals only, checked at the boundary with TypeError.
+and rationals only, checked at the boundary with TypeError. Every size,
+bound, shift and word length also rejects a negative int with ValueError,
+after the types of all its arguments are checked.
 """
 
 import pytest
@@ -30,6 +32,7 @@ from degenbell.operators import (
 )
 from degenbell.polyalg import (
     Poly,
+    _require_size,
     as_rational,
     binomial,
     degenerate_falling_eval,
@@ -110,3 +113,29 @@ def _case_id(case):
 def test_int_arguments_reject_floats_and_bools(fn, args, bad):
     with pytest.raises(TypeError):
         fn(*[bad if a is BAD else a for a in args])
+
+
+# -1 is a valid rational, a valid lambda and a valid binomial k (C(3, -1) = 0).
+NEGATIVE_IS_VALID = {(as_rational, 0), (triangle, 0), (binomial, 1)}
+NEGATIVE_CASES = [(fn, args) for fn, args in CASES if (fn, args.index(BAD)) not in NEGATIVE_IS_VALID]
+
+
+@pytest.mark.parametrize("fn,args", NEGATIVE_CASES, ids=[_case_id(c) for c in NEGATIVE_CASES])
+def test_size_arguments_reject_negative_ints(fn, args):
+    with pytest.raises(ValueError):
+        fn(*[-1 if a is BAD else a for a in args])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _require_size(n=-1, k=1.0),
+        lambda: binomial(-1, 0.5),
+        lambda: triangle(0).entry(-1, 0.5),
+        lambda: normal_order_suite(-1, 1, [0], m_max=1.0),
+        lambda: commutation_suite(-1, 2, [0], total_max=True),
+    ],
+)
+def test_type_errors_come_before_sign_errors(call):
+    with pytest.raises(TypeError):
+        call()

@@ -7,6 +7,7 @@ or formatted must reproduce them exactly. The report digests pin the stdout
 of each verify identity at its default grid, the classical-powers branch of
 spivey-rbell, and oracle-check at its defaults, so a refactor of the
 identities or the routes must keep every report byte, checked count included.
+The help digests pin every --help text at a fixed 80-column width.
 """
 
 import hashlib
@@ -95,3 +96,24 @@ def test_report_stdout_matches_golden_digest(name, fmt, capsys):
     assert run(REPORT_COMMANDS[name] + ["--format", fmt]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == REPORT_GOLDEN[(name, fmt)]
+
+
+HELP_GOLDEN = {
+    "--help": "118bbb7327e390ecb4e7e73dbf7552c9bfb83dfb499b29f50a46b699693f6e9d",
+    "stirling --help": "d56e4bde873f1ebd68b6811612e00c37e3678328dcf15952d3b6c1f5d2cd4e86",
+    "rstirling --help": "801551da676bad4f71e83769c96bf1047ae14a4294ff79cd070adc2a9ae681c3",
+    "bell --help": "64ed3575ab00e57d4f74f5910c90cc4edbbb88aebbf6c77f050c3d53aa37f113",
+    "rbell --help": "962e8174eda7f4e8edf44899b5442b039e35f10ad44ec8206cd82772dc8a79d7",
+    "verify --help": "c3bd8923648a497d466ec6e637cc66fc02abf4460fe8829965a62c8ddc14cc6c",
+    "oracle-check --help": "db65c0625e147d2af8ae0c1ef3325e2f9896f0d48ae2c6321b6e36b0136d775f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_GOLDEN))
+def test_help_matches_golden_digest(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == HELP_GOLDEN[argv]

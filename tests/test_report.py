@@ -41,7 +41,7 @@ def test_report_absorb_merges_params():
 
 
 def test_report_json_dict_excludes_elapsed_by_default():
-    report = VerificationReport("demo", grid={"lambda": F(1, 2)}, elapsed=1.23)
+    report = VerificationReport("demo", grid={"lambda": F(1, 2)})
     report.record({"k": 0}, F(1), F(2))
     doc = report.to_json_dict()
     assert "elapsed_seconds" not in doc

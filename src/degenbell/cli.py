@@ -161,14 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="triangle vs series vs operator agreement")
     common(p, ["triple-agreement"])
 
+    # Errors found after parsing print the subcommand's usage, as argparse's own do.
+    for p in sub.choices.values():
+        p.set_defaults(error=p.error)
     return parser
 
 
-def _single_lambda(args, parser) -> Fraction:
+def _single_lambda(args) -> Fraction:
     if not args.lambdas:
-        parser.error("--lambda is required")
+        args.error("--lambda is required")
     if len(args.lambdas) > 1:
-        parser.error("expected exactly one --lambda")
+        args.error("expected exactly one --lambda")
     return args.lambdas[0]
 
 
@@ -281,11 +284,10 @@ def _emit(kind: str, parameters: dict, records: list[str], args) -> None:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.command in _TABLE_COMMANDS:
-        lam = _single_lambda(args, parser)
+        lam = _single_lambda(args)
         r = getattr(args, "r", 0)
         output = _triangle_output if args.command.endswith("stirling") else _poly_output
         records = output(triangle(lam, r), args.max_n, args.format)
@@ -303,7 +305,7 @@ def run(argv=None) -> int:
     given = {flag: value for flag, value in vars(args).items() if value is not None}
     for flag in dict.fromkeys(f for flags, _ in _REPORTS.values() for f in flags):
         if flag in given and flag not in defaults:
-            parser.error(f"--{flag.replace('_', '-')} is not used by --identity {identity}")
+            args.error(f"--{flag.replace('_', '-')} is not used by --identity {identity}")
     grid = {flag: given.get(flag, default) for flag, default in defaults.items()}
     report = suite(grid, lambdas)
     params = {"identity": identity, **{k: v for k, v in grid.items() if v is not None}}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .operators import extract_rbell_via_operators
-from .polyalg import Poly, _require_size, as_rational, binomial, degenerate_falling_eval
+from .polyalg import Poly, _require_size, as_rational, binomial
 from .report import VerificationReport
 from .series import rbell_polys_via_series
 from .triangles import bell_poly_degenerate, rbell_poly_degenerate, triangle
@@ -27,40 +27,51 @@ DEFAULT_LAMBDAS = (
 )
 
 
-def _split_order_terms(m: int, n: int, r: int, lam, power):
-    """Yield the (k, l)-indexed terms C(n,l) T(m,k) power(k - m*lam, n-l, lam)
-    x^k phi_l(x) of the split-order recurrence in lexicographic order, with T
-    and phi taken from the (lam, r) triangle. power is the deformed
-    degenerate_falling_eval or, at lam = 0, the classical _plain_power.
-
-    A term whose scalar is 0 is Poly.ZERO, built without a product, so term
-    arrays for different powers line up index by index.
+def _split_order_terms(m: int, n: int, r: int, lam, powers):
+    """Yield the (k, l)-indexed terms C(n,l) T(m,k) (k - m*lam)_{n-l} x^k
+    phi_l(x) of the split-order recurrence in lexicographic order, with T and
+    phi from the (lam, r) triangle; powers is _deformed_powers or, at lam = 0,
+    the classical _plain_powers. On ints, with lam = p/q: T(m,k) is V(m,k)
+    over q^(m-k) and power e is powers(...)[e] over q^e, so a term is one
+    scalar times phi's numerators, reduced once (Poly.ZERO for a zero scalar).
     """
     _require_size(m=m, n=n, r=r)
-    row = triangle(lam, r).row(m)
+    tri = triangle(lam, r)
+    v = tri.scaled_row(m)
+    p, q = tri.lam.numerator, tri.lam.denominator
     phis = [(binomial(n, l), rbell_poly_degenerate(l, r, lam)) for l in range(n + 1)]
     for k in range(m + 1):
-        x0 = k - m * lam
+        pw = powers(k, m, n, p, q)
         for l, (b, phi) in enumerate(phis):
-            c = b * row[k] * power(x0, n - l, lam)
-            yield (k, l), ((phi * c)._shift(k) if c else Poly.ZERO)
+            c = b * v[k] * pw[n - l]
+            term = Poly._reduce([c * a for a in phi._num], phi._den * q ** (m - k + n - l))
+            yield (k, l), term._shift(k)
 
 
-def _plain_power(x0, e: int, lam):
-    """x0^e, the classical power that degenerate_falling_eval deforms; lam,
-    always 0 here, is not read."""
-    return x0 ** e
+def _deformed_powers(k: int, m: int, n: int, p: int, q: int) -> list[int]:
+    """Numerators of the deformed powers (k - m*lam)_e, e = 0..n, at
+    lam = p/q: prod_{i<e} (k*q - (m+i)*p), each over q^e."""
+    out = [1]
+    for i in range(n):
+        out.append(out[-1] * (k * q - (m + i) * p))
+    return out
+
+
+def _plain_powers(k: int, m: int, n: int, p: int, q: int) -> list[int]:
+    """k^e for e = 0..n, the classical powers that _deformed_powers deforms;
+    m, p and q (always 0 and 1 here) are not read."""
+    return [k ** e for e in range(n + 1)]
 
 
 def _sum_terms(terms) -> Poly:
-    """One polynomial from a term array; its zero terms are skipped."""
-    return sum((term for _, term in terms if not term.is_zero()), Poly.ZERO)
+    """One polynomial from a term array, reduced once."""
+    return Poly.sum([term for _, term in terms])
 
 
 def spivey_bell_terms(m: int, n: int, lam) -> list[tuple[tuple[int, int], Poly]]:
     """The terms of the split-order Bell recurrence, in lexicographic order:
     C(n,k) T(m,j) (j - m*lam)_{n-k} x^j phi_k(x), zero terms included."""
-    return list(_split_order_terms(m, n, 0, lam, degenerate_falling_eval))
+    return list(_split_order_terms(m, n, 0, lam, _deformed_powers))
 
 
 def spivey_rhs_bell(m: int, n: int, lam) -> Poly:
@@ -71,20 +82,20 @@ def spivey_rhs_bell(m: int, n: int, lam) -> Poly:
 def classical_spivey_terms(m: int, n: int) -> list[tuple[tuple[int, int], Poly]]:
     """The lam = 0 terms computed directly with plain powers:
     C(n,k) T(m,j) j^(n-k) x^j phi_k(x)."""
-    return list(_split_order_terms(m, n, 0, 0, _plain_power))
+    return list(_split_order_terms(m, n, 0, 0, _plain_powers))
 
 
 def spivey_rhs_rbell(m: int, n: int, r: int, lam) -> Poly:
     """Right-hand side of the split-order recurrence for the r-shifted family:
     sum over k <= m, l <= n of C(n,l) T(m,k) (k - m*lam)_{n-l} x^k phi_l(x),
     with T and phi taken from the (lam, r) triangle."""
-    return _sum_terms(_split_order_terms(m, n, r, lam, degenerate_falling_eval))
+    return _sum_terms(_split_order_terms(m, n, r, lam, _deformed_powers))
 
 
 def _classical_rbell_rhs(m: int, n: int, r: int) -> Poly:
     """lam = 0 right-hand side with plain powers k^(n-l) in place of the
     deformed ones."""
-    return _sum_terms(_split_order_terms(m, n, r, 0, _plain_power))
+    return _sum_terms(_split_order_terms(m, n, r, 0, _plain_powers))
 
 
 def verify_spivey_bell(m_max: int, n_max: int, lambdas) -> VerificationReport:

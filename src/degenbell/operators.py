@@ -40,18 +40,28 @@ class ExpWeightedPoly(namedtuple("ExpWeightedPoly", "factor")):
     __rmul__ = __mul__
 
 
+def _x_step(num: list) -> list:
+    """Numerators of x*f: a zero prepended."""
+    return [0, *num]
+
+
+def _d_step(num: list, weighted: bool) -> list:
+    """Numerators of f', plus f itself when the value is f*e^x (the product
+    rule)."""
+    out = [i * num[i] for i in range(1, len(num))]
+    if weighted:
+        out = [a + b for a, b in zip(num, out + [0])]
+    return out
+
+
 def apply_X(v):
     """Multiply by x: polynomials directly, weighted values on the factor."""
-    if isinstance(v, ExpWeightedPoly):
-        return ExpWeightedPoly(v.factor._shift(1))
-    return v._shift(1)
+    return OperatorWord(("X",)).apply(v)
 
 
 def apply_D(v):
     """Differentiate: the product rule on f*e^x gives (f' + f)*e^x."""
-    if isinstance(v, ExpWeightedPoly):
-        return ExpWeightedPoly(v.factor.derivative() + v.factor)
-    return v.derivative()
+    return OperatorWord(("D",)).apply(v)
 
 
 class ShiftedXD(namedtuple("ShiftedXD", "shift")):
@@ -100,14 +110,28 @@ class OperatorWord:
         return OperatorWord(self.atoms + other.atoms)
 
     def apply(self, v):
+        """The word applied to a Poly or ExpWeightedPoly: the atoms act in
+        turn on the numerators over one denominator, reduced once at the end.
+        XD + s/t maps numerators a over den to t*X(D(a)) + s*a over den*t."""
+        weighted = isinstance(v, ExpWeightedPoly)
+        f = v.factor if weighted else v
+        num, den = list(f._num), f._den
         for atom in reversed(self.atoms):
             if isinstance(atom, ShiftedXD):
-                v = apply_X(apply_D(v)) + v * atom.shift
+                s, t = as_rational(atom.shift).as_integer_ratio()
+                xd = _x_step(_d_step(num, weighted))
+                if t != 1:
+                    xd = [t * a for a in xd]
+                    den *= t
+                for i, a in enumerate(num):
+                    xd[i] += s * a
+                num = xd
             elif atom == "X":
-                v = apply_X(v)
+                num = _x_step(num)
             else:
-                v = apply_D(v)
-        return v
+                num = _d_step(num, weighted)
+        f = Poly._reduce(num, den)
+        return ExpWeightedPoly(f) if weighted else f
 
     def __repr__(self):
         return f"OperatorWord({list(self.atoms)!r})"
@@ -157,11 +181,8 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
     ]
     for m in range(m_max + 1):
         mono = Poly.monomial(m)
-        lhs = product.apply(mono)
-        rhs = Poly.ZERO
-        for c, word in words:
-            rhs = rhs + word.apply(mono) * c
-        report.record({"m": m}, lhs, rhs)
+        rhs = Poly.sum([word.apply(mono) * c for c, word in words])
+        report.record({"m": m}, product.apply(mono), rhs)
     return report
 
 
@@ -232,13 +253,10 @@ def commutation_checks(k_max: int, m_max: int, lam) -> VerificationReport:
             scalars = [(i, binomial(n, i) * degenerate_falling_eval(a, n - i, lam)) for i in range(n + 1)]
             scalars = [(i, c) for i, c in scalars if c != 0]
             for m, mono in enumerate(monos):
-                rhs = Poly.ZERO
-                for i, c in scalars:
-                    rhs = rhs + plain[i][m] * c
                 report.record(
                     {"relation": "shifted-product-binomial", "n": n, "shift": a, "m": m},
                     product.apply(mono),
-                    rhs,
+                    Poly.sum([plain[i][m] * c for i, c in scalars]),
                 )
     return report
 

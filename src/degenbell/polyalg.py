@@ -94,6 +94,19 @@ class Poly:
                 den //= g
         return cls._raw(tuple(num), den)
 
+    @classmethod
+    def sum(cls, polys) -> "Poly":
+        """The sum of any number of polynomials: numerators accumulated on
+        ints over the lcm of the denominators, with one reduction."""
+        polys = list(polys)
+        den = lcm(*[p._den for p in polys])
+        out = [0] * max([len(p._num) for p in polys], default=0)
+        for p in polys:
+            scale = den // p._den
+            for i, c in enumerate(p._num):
+                out[i] += c * scale
+        return cls._reduce(out, den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients as reduced Fractions, coefficient i of x**i first."""

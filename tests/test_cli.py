@@ -359,3 +359,27 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv,command,message",
+    [
+        (["bell", "--max-n", "2"], "bell", "--lambda is required"),
+        (["stirling", "--max-n", "2", "--lambda", "1", "--lambda", "2"], "stirling", "expected exactly one --lambda"),
+        (["verify", "--identity", "spivey-bell", "--r", "2"], "verify", "--r is not used by --identity spivey-bell"),
+    ],
+)
+def test_errors_after_parsing_print_the_subcommand_usage(argv, command, message, capsys):
+    # The same usage and prefix as argparse's own errors for that subcommand.
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: degenbell {command} [-h]")
+    assert err.endswith(f"\ndegenbell {command}: error: {message}\n")
+    with pytest.raises(SystemExit):
+        run([command, "--max-n", "x"])
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: degenbell {command} [-h]")
+    assert f"\ndegenbell {command}: error: argument --max-n" in err

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from degenbell.identities import (
     DEFAULT_LAMBDAS,
+    _deformed_powers,
+    _split_order_terms,
     classical_spivey_terms,
     spivey_bell_terms,
     spivey_rhs_bell,
@@ -20,12 +22,13 @@ from degenbell.operators import (
     extract_rbell_via_operators,
     normal_order_suite,
 )
-from degenbell.polyalg import Poly
+from degenbell.polyalg import Poly, binomial, degenerate_falling_eval
 from degenbell.series import rbell_polys_via_series
 from degenbell.triangles import (
     bell_number_classical_bruteforce,
     bell_poly_degenerate,
     rbell_poly_degenerate,
+    triangle,
 )
 
 
@@ -201,3 +204,38 @@ def test_split_order_terms_read_each_phi_once(monkeypatch):
         rhs = spivey_rhs_rbell(m, n, r, lam)
         assert len(calls) <= n + 1
         assert rhs == rbell_poly_degenerate(m + n, r, lam)
+
+
+def reference_terms(m, n, r, lam):
+    """The split-order terms from Fraction rows, Fraction deformed powers and
+    Poly products: C(n,l) T(m,k) (k - m*lam)_{n-l} x^k phi_l(x)."""
+    row = triangle(lam, r).row(m)
+    terms = []
+    for k in range(m + 1):
+        for l in range(n + 1):
+            c = binomial(n, l) * row[k] * degenerate_falling_eval(k - m * lam, n - l, lam)
+            terms.append(((k, l), Poly.monomial(k, c) * rbell_poly_degenerate(l, r, lam)))
+    return terms
+
+
+split_order_lambdas = st.one_of(
+    st.just(F(0)),
+    st.integers(-6, 6).map(F),
+    st.builds(F, st.integers(-999, 999), st.integers(1, 999)),
+)
+
+
+@given(lam=split_order_lambdas, r=st.integers(0, 3), m=st.integers(0, 6), n=st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_split_order_terms_match_a_fraction_reference(lam, r, m, n):
+    want = reference_terms(m, n, r, lam)
+    cases = [(list(_split_order_terms(m, n, r, lam, _deformed_powers)), want)]
+    if r == 0:
+        cases.append((spivey_bell_terms(m, n, lam), want))
+        cases.append((classical_spivey_terms(m, n), reference_terms(m, n, 0, F(0))))
+    for got, expected in cases:
+        assert [key for key, _ in got] == [key for key, _ in expected]
+        for (_, a), (_, b) in zip(got, expected, strict=True):
+            assert a == b and hash(a) == hash(b)
+    fold = sum((term for _, term in want), Poly.ZERO)
+    assert spivey_rhs_rbell(m, n, r, lam) == fold

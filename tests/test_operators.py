@@ -190,3 +190,54 @@ def test_shifted_product_atoms_are_exact_shifts(n, lam, shift):
     atoms = OperatorWord.shifted_product(n, lam, shift).atoms
     assert atoms == tuple(ShiftedXD(F(shift) - i * F(lam)) for i in range(n))
     assert all(type(a) is ShiftedXD and type(a.shift) is F for a in atoms)
+
+
+# Reference application on plain tuples of Fractions, one atom at a time,
+# independent of the numerators-over-one-denominator form.
+def ref_apply(atoms, coeffs, weighted):
+    cs = [F(c) for c in coeffs]
+    for atom in reversed(atoms):
+        if atom == "X":
+            cs = [F(0), *cs]
+            continue
+        d = [i * cs[i] for i in range(1, len(cs))] + [F(0)]
+        if weighted:  # D(f e^x) = (f' + f) e^x
+            d = [a + b for a, b in zip(d, cs + [F(0)])]
+        if atom == "D":
+            cs = d
+        else:  # (XD + c) f = x D(f) + c f
+            cs = [a + atom.shift * b for a, b in zip([F(0), *d], cs + [F(0)] * 2)]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+atoms = st.one_of(
+    st.sampled_from(["X", "D"]),
+    st.builds(ShiftedXD, st.one_of(small_rationals, st.integers(-4, 4), shift_rationals)),
+)
+
+
+@given(st.lists(atoms, max_size=8), st.lists(small_rationals, max_size=6), st.booleans())
+@settings(max_examples=200)
+def test_word_apply_matches_fraction_reference(word_atoms, coeffs, weighted):
+    word = OperatorWord(word_atoms)
+    poly = Poly(coeffs)
+    value = ExpWeightedPoly(poly) if weighted else poly
+    got = word.apply(value)
+    assert type(got) is type(value)
+    factor = got.factor if weighted else got
+    assert factor.coeffs == ref_apply(word_atoms, coeffs, weighted)
+    assert factor == Poly(factor.coeffs) and hash(factor) == hash(Poly(factor.coeffs))
+    for one in (apply_X, apply_D):
+        atom = "X" if one is apply_X else "D"
+        assert one(value) == OperatorWord((atom,)).apply(value)
+
+
+def test_word_apply_on_zero_and_the_empty_word():
+    for value in (Poly.ZERO, ExpWeightedPoly(Poly.ZERO)):
+        assert OperatorWord(("X", ShiftedXD(F(1, 3)), "D")).apply(value) == value
+    for value in (Poly((F(1, 2), 3)), ExpWeightedPoly(Poly((F(-2, 3),)))):
+        assert OperatorWord().apply(value) == value
+    # A shift with denominator t scales the numerators: (XD + 1/2) x = 3/2 x.
+    assert OperatorWord((ShiftedXD(F(1, 2)),)).apply(Poly.X) == Poly((0, F(3, 2)))

@@ -303,3 +303,30 @@ def test_degenerate_falling_eval_matches_factor_by_factor_product(x0, lam, n):
     got = degenerate_falling_eval(x0, n, lam)
     assert type(got) is F and got == expected
     assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+
+# Lists of polynomials with mixed, wide denominators, zero entries included.
+poly_lists = st.lists(st.one_of(coeff_lists, st.just(()), st.lists(rationals, max_size=4)), max_size=7)
+
+
+@given(poly_lists)
+def test_sum_matches_the_add_fold_and_fraction_reference(lists):
+    polys = [Poly(cs) for cs in lists]
+    total = Poly.sum(polys)
+    assert_canonical(total)
+    fold = sum(polys, Poly.ZERO)
+    assert total == fold and hash(total) == hash(fold)
+    expected = ()
+    for cs in lists:
+        expected = ref_add(expected, ref_trim(cs))
+    assert total.coeffs == expected
+    assert Poly.sum(iter(polys)) == total
+
+
+def test_sum_examples():
+    assert Poly.sum([]) is Poly.ZERO
+    assert Poly.sum([Poly.ZERO, Poly.ZERO]) is Poly.ZERO
+    # The lcm of 4 and 6 is 12, not the larger denominator 6.
+    assert Poly.sum([Poly((F(1, 4),)), Poly((F(1, 6),))]) == Poly((F(5, 12),))
+    assert Poly.sum([Poly((F(1, 2), 1)), Poly((F(1, 2), -1)), Poly.ZERO]) == Poly.ONE
+    assert Poly.sum([Poly((0, F(1, 3))), Poly((0, F(2, 3)))])._den == 1

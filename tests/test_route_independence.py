@@ -1,10 +1,14 @@
 """The three routes stay independent oracles: the series and operator
 extractions must not read triangle rows, and the series module must not
-import the other two routes at all."""
+import the other two routes at all. Within the split-order identities, the
+classical lam = 0 form must not take the deformed powers it is checked
+against."""
 
 import ast
 from fractions import Fraction as F
 from pathlib import Path
+
+import pytest
 
 import degenbell.series
 from degenbell.operators import extract_rbell_via_operators
@@ -42,3 +46,19 @@ def test_series_module_imports_no_other_route():
     assert imported, "no imports found; the check would be vacuous"
     for name in imported:
         assert not {"triangles", "operators"} & set(name.split(".")), name
+
+
+def test_classical_split_order_route_never_takes_the_deformed_power(monkeypatch):
+    from degenbell import identities
+
+    def no_deformed_power(*args):
+        raise AssertionError("the deformed power was taken")
+
+    monkeypatch.setattr(identities, "_deformed_powers", no_deformed_power)
+    terms = identities.classical_spivey_terms(3, 4)
+    assert len(terms) == 4 * 5
+    assert sum((t for _, t in terms), identities.Poly.ZERO) == rbell_poly_degenerate(7, 0, 0)
+    assert identities._classical_rbell_rhs(3, 4, 2) == rbell_poly_degenerate(7, 2, 0)
+    # The patch is not vacuous: the deformed route does read it.
+    with pytest.raises(AssertionError, match="deformed power"):
+        identities.spivey_bell_terms(3, 4, 0)

@@ -229,8 +229,7 @@ def test_word_apply_matches_fraction_reference(word_atoms, coeffs, weighted):
     factor = got.factor if weighted else got
     assert factor.coeffs == ref_apply(word_atoms, coeffs, weighted)
     assert factor == Poly(factor.coeffs) and hash(factor) == hash(Poly(factor.coeffs))
-    for one in (apply_X, apply_D):
-        atom = "X" if one is apply_X else "D"
+    for one, atom in ((apply_X, "X"), (apply_D, "D")):
         assert one(value) == OperatorWord((atom,)).apply(value)
 
 

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import degenbell.series
+from degenbell import identities
 from degenbell.operators import extract_rbell_via_operators
+from degenbell.polyalg import Poly
 from degenbell.series import rbell_polys_via_series
 from degenbell.triangles import StirlingTriangle, rbell_poly_degenerate
 
@@ -49,15 +51,13 @@ def test_series_module_imports_no_other_route():
 
 
 def test_classical_split_order_route_never_takes_the_deformed_power(monkeypatch):
-    from degenbell import identities
-
     def no_deformed_power(*args):
         raise AssertionError("the deformed power was taken")
 
     monkeypatch.setattr(identities, "_deformed_powers", no_deformed_power)
     terms = identities.classical_spivey_terms(3, 4)
     assert len(terms) == 4 * 5
-    assert sum((t for _, t in terms), identities.Poly.ZERO) == rbell_poly_degenerate(7, 0, 0)
+    assert sum((t for _, t in terms), Poly.ZERO) == rbell_poly_degenerate(7, 0, 0)
     assert identities._classical_rbell_rhs(3, 4, 2) == rbell_poly_degenerate(7, 2, 0)
     # The patch is not vacuous: the deformed route does read it.
     with pytest.raises(AssertionError, match="deformed power"):

@@ -17,6 +17,7 @@ from importlib import import_module
 from math import gcd
 from operator import mul
 
+from .polyalg import as_rational
 from .triangles import triangle
 
 # The report suites and their default lambdas are imported on the report
@@ -63,9 +64,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical form: reduced, 'p/q' with q >= 1, bare 'p' when q == 1."""
-    if type(value) is not Fraction:
-        value = Fraction(value)
-    return str(value)
+    return str(as_rational(value))
 
 
 def _rational_arg(text: str) -> Fraction:

@@ -35,9 +35,7 @@ def _require_size(**values) -> None:
     """Reject anything but a nonnegative int: a size, a bound, a shift r or
     a word length. Every type is checked before any sign, so a call with a
     float and a negative int raises TypeError."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    _require_int(**values)
     for name, value in values.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative")
@@ -161,24 +159,7 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if not other._num:
-            return self
-        if not self._num:
-            return other
-        a, da, b, db = self._num, self._den, other._num, other._den
-        if len(a) < len(b):
-            a, da, b, db = b, db, a, da
-        if da == db:
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] += c
-            return Poly._reduce(out, da)
-        g = gcd(da, db)
-        sa, sb = db // g, da // g
-        out = [c * sa for c in a]
-        for i, c in enumerate(b):
-            out[i] += c * sb
-        return Poly._reduce(out, da * sa)
+        return Poly.sum((self, other))
 
     def __neg__(self):
         return Poly._raw(tuple([-c for c in self._num]), self._den)

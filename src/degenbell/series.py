@@ -81,16 +81,11 @@ class TruncatedSeries:
             return self
         if self._is_one():
             return other
-        n_max = self.order
-        out = [Poly.ZERO] * (n_max + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n_max - i + 1):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(n_max, out)
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries(
+            self.order,
+            [Poly.sum([a[i] * b[n - i] for i in range(n + 1)]) for n in range(self.order + 1)],
+        )
 
     def scale(self, factor) -> "TruncatedSeries":
         """Multiply every coefficient by a Poly or exact scalar."""
@@ -109,15 +104,10 @@ class TruncatedSeries:
             raise ValueError("exp needs a zero constant term")
         n_max = self.order
         weighted = [a * (j + 1) for j, a in enumerate(self.coeffs[1:])]  # (j+1) a_{j+1}
-        out = [Poly.ZERO] * (n_max + 1)
-        out[0] = Poly.ONE
+        out = [Poly.ONE]
         for n in range(n_max):
-            acc = Poly.ZERO
-            for j in range(n + 1):
-                w = weighted[j]
-                if not w.is_zero():
-                    acc = acc + w * out[n - j]
-            out[n + 1] = acc * Fraction(1, n + 1)
+            acc = Poly.sum([weighted[j] * out[n - j] for j in range(n + 1)])
+            out.append(acc * Fraction(1, n + 1))
         return TruncatedSeries(n_max, out)
 
     def __repr__(self):

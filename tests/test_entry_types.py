@@ -10,6 +10,7 @@ after the types of all its arguments are checked.
 
 import pytest
 
+from degenbell.cli import format_rational
 from degenbell.identities import (
     classical_spivey_terms,
     spivey_bell_terms,
@@ -139,3 +140,11 @@ def test_size_arguments_reject_negative_ints(fn, args):
 def test_type_errors_come_before_sign_errors(call):
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False], ids=["float", "integral-float", "true", "false"])
+def test_format_rational_rejects_floats_and_bools(bad):
+    # a float printed as its binary expansion, or True printed as 1, would let
+    # a non-exact value reach the output
+    with pytest.raises(TypeError):
+        format_rational(bad)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -167,6 +168,86 @@ def test_exp_is_homomorphism(order, data):
     a = TruncatedSeries(order, [Poly.ZERO] + tail_a)
     b = TruncatedSeries(order, [Poly.ZERO] + tail_b)
     assert (a + b).exp() == a.exp() * b.exp()
+
+
+# Reference series arithmetic on lists of trimmed Fraction tuples, one tuple
+# per power of t. It shares nothing with Poly's addition or Poly.sum.
+def ref_add(a, b):
+    out = [F(0)] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_add(out, ())
+
+
+def ref_cauchy(a, b):
+    out = [()] * len(a)
+    for i in range(len(a)):
+        for j in range(len(a) - i):
+            out[i + j] = ref_add(out[i + j], ref_mul(a[i], b[j]))
+    return out
+
+
+def ref_exp(a):
+    # (n+1) E_{n+1} = sum_j (j+1) a_{j+1} E_{n-j}
+    out = [(F(1),)]
+    for n in range(len(a) - 1):
+        acc = ()
+        for j in range(n + 1):
+            acc = ref_add(acc, ref_mul(tuple((j + 1) * c for c in a[j + 1]), out[n - j]))
+        out.append(tuple(c / (n + 1) for c in acc))
+    return out
+
+
+def assert_matches_reference(series, ref):
+    want = TruncatedSeries(series.order, [Poly(cs) for cs in ref])
+    assert series == want and hash(series) == hash(want)
+    for p, cs in zip(series.coeffs, ref, strict=True):
+        num, den = p._num, p._den
+        assert den > 0 and math.gcd(den, *num) == 1 and (not num or num[-1] != 0)
+        assert p.coeffs == cs
+
+
+# Mixed denominators, exact zeros inside a coefficient and whole zero
+# coefficients.
+mixed_rationals = st.one_of(st.builds(F, st.integers(-30, 30), st.integers(1, 60)), st.just(F(0)))
+coeff_tuples = st.one_of(st.just(()), st.lists(mixed_rationals, max_size=4).map(lambda cs: ref_add(cs, ())))
+
+
+@st.composite
+def ref_series(draw, order, zero_constant=False):
+    kind = draw(st.sampled_from(["drawn", "zero", "one"] if not zero_constant else ["drawn", "zero"]))
+    if kind == "zero":
+        return [()] * (order + 1)
+    if kind == "one":
+        return [(F(1),)] + [()] * order
+    head = [()] if zero_constant else [draw(coeff_tuples)]
+    return head + draw(st.lists(coeff_tuples, min_size=order, max_size=order))
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(ref_series(n), ref_series(n))))
+@settings(max_examples=60)
+def test_cauchy_product_matches_fraction_reference(pair):
+    a, b = pair
+    sa, sb = (TruncatedSeries(len(a) - 1, [Poly(cs) for cs in x]) for x in (a, b))
+    assert_matches_reference(sa * sb, ref_cauchy(a, b))
+
+
+@given(st.integers(0, 8).flatmap(lambda n: ref_series(n, zero_constant=True)))
+@settings(max_examples=60)
+def test_exp_matches_fraction_reference(a):
+    s = TruncatedSeries(len(a) - 1, [Poly(cs) for cs in a])
+    assert_matches_reference(s.exp(), ref_exp(a))
 
 
 def test_truncation_coherence():

@@ -226,7 +226,8 @@ coeff_tuples = st.one_of(st.just(()), st.lists(mixed_rationals, max_size=4).map(
 
 @st.composite
 def ref_series(draw, order, zero_constant=False):
-    kind = draw(st.sampled_from(["drawn", "zero", "one"] if not zero_constant else ["drawn", "zero"]))
+    kinds = ["drawn", "zero"] if zero_constant else ["drawn", "zero", "one"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "zero":
         return [()] * (order + 1)
     if kind == "one":

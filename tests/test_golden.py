@@ -11,10 +11,14 @@ The help digests pin every --help text at a fixed 80-column width.
 """
 
 import hashlib
+from fractions import Fraction as F
 
 import pytest
 
+from degenbell import identities
 from degenbell.cli import run
+from degenbell.operators import OperatorWord
+from degenbell.polyalg import Poly
 
 MAX_N = "40"
 EXTRA = {"stirling": [], "rstirling": ["--r", "3"], "bell": [], "rbell": ["--r", "3"]}
@@ -117,3 +121,78 @@ def test_help_matches_golden_digest(argv, monkeypatch, capsys):
     assert exc.value.code == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == HELP_GOLDEN[argv]
+
+
+# Failing runs: a fault planted by monkeypatch on a name each suite reads at
+# call time, so a few cells fail. The digests pin every byte of a real
+# suite's failure output: the params of each failure and their key order,
+# both sides, the checked count, and the order the failures appear in.
+def _off_by_x(fn, hit):
+    """fn, with x added to its result wherever hit(*args) holds."""
+    return lambda *args: fn(*args) + Poly.X if hit(*args) else fn(*args)
+
+
+def _shifted_product_with_fault(hit):
+    """OperatorWord.shifted_product, with the shift raised by 1 wherever
+    hit(n, lam, shift) holds."""
+    original = OperatorWord.shifted_product
+
+    def faulty(cls, n, lam, shift=0):
+        return original(n, lam, shift + 1 if hit(n, lam, shift) else shift)
+
+    return classmethod(faulty)
+
+
+HALF = F(1, 2)
+
+FAULTS = {
+    "spivey-bell": (
+        ["verify", "--identity", "spivey-bell", "--max-m", "2", "--max-n", "2", "--lambda=1/2", "--lambda=0"],
+        lambda: (identities, "spivey_rhs_bell", _off_by_x(
+            identities.spivey_rhs_bell, lambda m, n, lam: (m, n, lam) == (1, 2, HALF))),
+    ),
+    "spivey-rbell": (
+        ["verify", "--identity", "spivey-rbell", "--max-m", "2", "--max-n", "2", "--r", "2",
+         "--lambda=0", "--lambda=1/2"],
+        lambda: (identities, "spivey_rhs_rbell", _off_by_x(
+            identities.spivey_rhs_rbell, lambda m, n, r, lam: (m, n, r) == (1, 2, 2))),
+    ),
+    "normal-order": (
+        ["verify", "--identity", "normal-order", "--max-n", "3", "--r", "1", "--lambda=1/2", "--lambda=3"],
+        lambda: (OperatorWord, "shifted_product", _shifted_product_with_fault(
+            lambda n, lam, shift: (n, lam, shift) == (2, HALF, 1))),
+    ),
+    "commutation": (
+        ["verify", "--identity", "commutation", "--max-k", "1", "--max-m", "1", "--max-n", "5",
+         "--lambda=3", "--lambda=1/2"],
+        lambda: (OperatorWord, "shifted_product", _shifted_product_with_fault(
+            lambda n, lam, shift: (n, lam, shift) == (3, HALF, -1))),
+    ),
+    "oracle-check": (
+        ["oracle-check", "--max-n", "3", "--r", "1", "--lambda=1/2", "--lambda=-2/3"],
+        lambda: (identities, "extract_rbell_via_operators", _off_by_x(
+            identities.extract_rbell_via_operators, lambda n, r, lam: (n, lam) == (2, HALF))),
+    ),
+}
+
+FAILURE_GOLDEN = {
+    ("commutation", "csv"): "6108d23073b723b0992ee67c8f3c2ac6dc4ae7266f9258605695ef2e1f5b7068",
+    ("commutation", "json"): "b0cd9e8aeb1316406674766fa1ea23ebc5ca4f92cac08701302add6c0eadece1",
+    ("normal-order", "csv"): "4b8f388003b78b8a6fd71d5ee3ae305cf2b3b0b3e90f8875839532a6b59960d5",
+    ("normal-order", "json"): "c820668327ca101a207d0e13844a920c3bf2fa9cdd906ce347f7b49c18dd29ab",
+    ("oracle-check", "csv"): "9188f3e6eb424273ba93260d372efe15d8a937c2b7363358b09ea09cb3f71cbb",
+    ("oracle-check", "json"): "addaeb371202b253a135d7989135488eef52a03dcbba854bb874535a2db1bbfa",
+    ("spivey-bell", "csv"): "f9313df0f7a157fc6b0db7536a1590578caf9c37c6addfb58e7e70a2f1cccfee",
+    ("spivey-bell", "json"): "53b2e0e12139b513790380d7ed710b5c06d7d6bf4b761ff82665339e16fabff2",
+    ("spivey-rbell", "csv"): "cfd8e1891545ed82d5c2e9cbd80c0e19cf86217e19fb5b0c943f8a07fdf98f70",
+    ("spivey-rbell", "json"): "c7a1011dd7dd77a19c6019be4c05143acdadc598253f1af0ffef49cea5fde907",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(FAILURE_GOLDEN))
+def test_failing_report_stdout_matches_golden_digest(name, fmt, monkeypatch, capsys):
+    argv, fault = FAULTS[name]
+    monkeypatch.setattr(*fault())
+    assert run(argv + ["--format", fmt]) == 1
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FAILURE_GOLDEN[(name, fmt)]

@@ -10,6 +10,8 @@ failures, so CI can gate on them.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 from fractions import Fraction
@@ -256,6 +258,8 @@ def _json_value(value, indent: str) -> str:
 
 def _write(text: str, out: str) -> None:
     if out in ("stdout", "-"):
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:

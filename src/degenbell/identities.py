@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .operators import extract_rbell_via_operators
 from .polyalg import Poly, _require_size, as_rational, binomial
-from .report import VerificationReport
+from .report import VerificationReport, run_grid
 from .series import rbell_polys_via_series
 from .triangles import bell_poly_degenerate, rbell_poly_degenerate, triangle
 
@@ -103,19 +103,18 @@ def verify_spivey_bell(m_max: int, n_max: int, lambdas) -> VerificationReport:
     recurrence over the whole grid; an empty lam list passes vacuously."""
     _require_size(m_max=m_max, n_max=n_max)
     lambdas = [as_rational(v) for v in lambdas]
-    report = VerificationReport(
-        identity="spivey-bell",
-        grid={"m_max": m_max, "n_max": n_max, "lambdas": lambdas},
-    )
-    for lam in lambdas:
-        for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                target = bell_poly_degenerate(m + n, lam)
-                rhs = spivey_rhs_bell(m, n, lam)
-                params = {"m": m, "n": n, "lambda": lam}
-                report.record(params, target, rhs)
-                report.record({**params, "at": "x=1"}, target(1), rhs(1))
-    return report
+
+    def cells():
+        for lam in lambdas:
+            for m in range(m_max + 1):
+                for n in range(n_max + 1):
+                    target = bell_poly_degenerate(m + n, lam)
+                    rhs = spivey_rhs_bell(m, n, lam)
+                    params = {"m": m, "n": n, "lambda": lam}
+                    yield params, target, rhs
+                    yield {**params, "at": "x=1"}, target(1), rhs(1)
+
+    return run_grid("spivey-bell", {"m_max": m_max, "n_max": n_max, "lambdas": lambdas}, cells())
 
 
 def verify_spivey_rbell(m_max: int, n_max: int, r_max: int, lambdas) -> VerificationReport:
@@ -123,24 +122,21 @@ def verify_spivey_rbell(m_max: int, n_max: int, r_max: int, lambdas) -> Verifica
     lam = 0 the classical plain-power form is checked as well."""
     _require_size(m_max=m_max, n_max=n_max, r_max=r_max)
     lambdas = [as_rational(v) for v in lambdas]
-    report = VerificationReport(
-        identity="spivey-rbell",
-        grid={"m_max": m_max, "n_max": n_max, "r_max": r_max, "lambdas": lambdas},
-    )
-    for lam in lambdas:
-        for r in range(r_max + 1):
-            for m in range(m_max + 1):
-                for n in range(n_max + 1):
-                    target = rbell_poly_degenerate(m + n, r, lam)
-                    params = {"m": m, "n": n, "r": r, "lambda": lam}
-                    report.record(params, target, spivey_rhs_rbell(m, n, r, lam))
-                    if lam == 0:
-                        report.record(
-                            {**params, "form": "classical-powers"},
-                            target,
-                            _classical_rbell_rhs(m, n, r),
-                        )
-    return report
+
+    def cells():
+        for lam in lambdas:
+            for r in range(r_max + 1):
+                for m in range(m_max + 1):
+                    for n in range(n_max + 1):
+                        target = rbell_poly_degenerate(m + n, r, lam)
+                        params = {"m": m, "n": n, "r": r, "lambda": lam}
+                        yield params, target, spivey_rhs_rbell(m, n, r, lam)
+                        if lam == 0:
+                            classical = _classical_rbell_rhs(m, n, r)
+                            yield {**params, "form": "classical-powers"}, target, classical
+
+    grid = {"m_max": m_max, "n_max": n_max, "r_max": r_max, "lambdas": lambdas}
+    return run_grid("spivey-rbell", grid, cells())
 
 
 def triple_agreement(n_max: int, r_max: int, lambdas) -> VerificationReport:
@@ -149,20 +145,19 @@ def triple_agreement(n_max: int, r_max: int, lambdas) -> VerificationReport:
     bell checks record the r = 0 pass again, with no "r" in their params."""
     _require_size(n_max=n_max, r_max=r_max)
     lambdas = [as_rational(v) for v in lambdas]
-    report = VerificationReport(
-        identity="triple-agreement",
-        grid={"n_max": n_max, "r_max": r_max, "lambdas": lambdas},
-    )
-    for lam in lambdas:
-        for r in range(r_max + 1):
-            from_series = rbell_polys_via_series(n_max, r, lam)
-            for n in range(n_max + 1):
-                from_triangle = rbell_poly_degenerate(n, r, lam)
-                routes = {"series": from_series[n], "operators": extract_rbell_via_operators(n, r, lam)}
-                cells = [{"family": "rbell", "n": n, "r": r, "lambda": lam}]
-                if r == 0:
-                    cells.append({"family": "bell", "n": n, "lambda": lam})
-                for params in cells:
-                    for route, other in routes.items():
-                        report.record({**params, "pair": f"triangle-vs-{route}"}, from_triangle, other)
-    return report
+
+    def cells():
+        for lam in lambdas:
+            for r in range(r_max + 1):
+                from_series = rbell_polys_via_series(n_max, r, lam)
+                for n in range(n_max + 1):
+                    from_triangle = rbell_poly_degenerate(n, r, lam)
+                    routes = {"series": from_series[n], "operators": extract_rbell_via_operators(n, r, lam)}
+                    families = [{"family": "rbell", "n": n, "r": r, "lambda": lam}]
+                    if r == 0:
+                        families.append({"family": "bell", "n": n, "lambda": lam})
+                    for params in families:
+                        for route, other in routes.items():
+                            yield {**params, "pair": f"triangle-vs-{route}"}, from_triangle, other
+
+    return run_grid("triple-agreement", {"n_max": n_max, "r_max": r_max, "lambdas": lambdas}, cells())

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .polyalg import Poly, _require_size, as_rational, binomial, degenerate_falling_eval
-from .report import VerificationReport
+from .report import VerificationReport, run_grid
 from .triangles import triangle
 
 
@@ -159,6 +159,18 @@ def extract_rbell_via_operators(n: int, r: int, lam) -> Poly:
     return apply_degenerate_operator_product(n, lam, r, ExpWeightedPoly(Poly.ONE)).factor
 
 
+def _normal_order_cells(n: int, r: int, lam: Fraction, m_max: int):
+    row = triangle(lam, r).row(n)
+    product = OperatorWord.shifted_product(n, lam, r)
+    words = [
+        (c, OperatorWord.x_power(k) * OperatorWord.d_power(k)) for k, c in enumerate(row) if c != 0
+    ]
+    for m in range(m_max + 1):
+        mono = Poly.monomial(m)
+        rhs = Poly.sum([word.apply(mono) * c for c, word in words])
+        yield {"m": m}, product.apply(mono), rhs
+
+
 def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
     """Check the normally ordered form of the r-shifted length-n product:
     it must equal sum_k T(n, k) X^k D^k with T the (lam, r) triangle row.
@@ -170,36 +182,64 @@ def normal_order_check(n: int, r: int, lam, m_max: int) -> VerificationReport:
     """
     _require_size(n=n, r=r, m_max=m_max)
     lam = as_rational(lam)
-    row = triangle(lam, r).row(n)
-    report = VerificationReport(
-        identity="normal-order",
-        grid={"n": n, "r": r, "lambda": lam, "m_max": m_max, "proof_threshold": n},
-    )
-    product = OperatorWord.shifted_product(n, lam, r)
-    words = [
-        (c, OperatorWord.x_power(k) * OperatorWord.d_power(k)) for k, c in enumerate(row) if c != 0
-    ]
-    for m in range(m_max + 1):
-        mono = Poly.monomial(m)
-        rhs = Poly.sum([word.apply(mono) * c for c, word in words])
-        report.record({"m": m}, product.apply(mono), rhs)
-    return report
+    grid = {"n": n, "r": r, "lambda": lam, "m_max": m_max, "proof_threshold": n}
+    return run_grid("normal-order", grid, _normal_order_cells(n, r, lam, m_max))
 
 
 def normal_order_suite(n_max: int, r_max: int, lambdas, m_max: int | None = None) -> VerificationReport:
     """normal_order_check over a whole grid; m ranges to n when m_max is None."""
     _require_size(n_max=n_max, r_max=r_max, **({} if m_max is None else {"m_max": m_max}))
     lambdas = [as_rational(v) for v in lambdas]
-    report = VerificationReport(
-        identity="normal-order",
-        grid={"n_max": n_max, "r_max": r_max, "lambdas": lambdas, "m_max": m_max},
+    cells = (
+        ({"n": n, "r": r, "lambda": lam, **params}, lhs, rhs)
+        for lam in lambdas
+        for r in range(r_max + 1)
+        for n in range(n_max + 1)
+        for params, lhs, rhs in _normal_order_cells(n, r, lam, n if m_max is None else m_max)
     )
-    for lam in lambdas:
-        for r in range(r_max + 1):
-            for n in range(n_max + 1):
-                sub = normal_order_check(n, r, lam, n if m_max is None else m_max)
-                report.absorb(sub, n=n, r=r, **{"lambda": lam})
-    return report
+    grid = {"n_max": n_max, "r_max": r_max, "lambdas": lambdas, "m_max": m_max}
+    return run_grid("normal-order", grid, cells)
+
+
+def _commutation_cells(k_max: int, m_max: int, lam: Fraction):
+    monos = [Poly.monomial(m) for m in range(m_max + 1)]
+    d, xd = OperatorWord.d_power(1), OperatorWord((ShiftedXD(Fraction(0)),))
+
+    for k in range(1, k_max + 1):
+        xk = OperatorWord.x_power(k)
+        d_xk, xk_d, xk1 = d * xk, xk * d, OperatorWord.x_power(k - 1)
+        xd_xk, xk_xd = xd * xk, xk * OperatorWord((ShiftedXD(Fraction(k)),))
+        for m, mono in enumerate(monos):
+            lhs = d_xk.apply(mono) - xk_d.apply(mono)
+            yield {"relation": "commutator-d-xk", "k": k, "m": m}, lhs, xk1.apply(mono) * k
+            yield {"relation": "xd-through-xk", "k": k, "m": m}, xd_xk.apply(mono), xk_xd.apply(mono)
+
+    # plain[i][m]: the length-i plain product applied to x^m, for the
+    # binomial expansion below.
+    plain = [[OperatorWord.shifted_product(i, lam).apply(mono) for mono in monos] for i in range(5)]
+    # Shift parameters a = extra - mult*lam cover the plain, integer-shifted,
+    # and lam-multiple-shifted products the recurrence derivations use.
+    shifts = [extra - mult * lam for extra in (0, 1, 2) for mult in (0, 1, 2)]
+    for a in shifts:
+        for n in range(5):
+            product = OperatorWord.shifted_product(n, lam, a)
+            for j in range(1, k_max + 1):
+                lhs_word = product * OperatorWord.x_power(j)
+                rhs_word = OperatorWord.x_power(j) * OperatorWord.shifted_product(n, lam, a + j)
+                for m, mono in enumerate(monos):
+                    yield (
+                        {"relation": "shifted-product-through-xj", "j": j, "n": n, "shift": a, "m": m},
+                        lhs_word.apply(mono),
+                        rhs_word.apply(mono),
+                    )
+            scalars = [(i, binomial(n, i) * degenerate_falling_eval(a, n - i, lam)) for i in range(n + 1)]
+            scalars = [(i, c) for i, c in scalars if c != 0]
+            for m, mono in enumerate(monos):
+                yield (
+                    {"relation": "shifted-product-binomial", "n": n, "shift": a, "m": m},
+                    product.apply(mono),
+                    Poly.sum([plain[i][m] * c for i, c in scalars]),
+                )
 
 
 def commutation_checks(k_max: int, m_max: int, lam) -> VerificationReport:
@@ -215,61 +255,11 @@ def commutation_checks(k_max: int, m_max: int, lam) -> VerificationReport:
     """
     _require_size(k_max=k_max, m_max=m_max)
     lam = as_rational(lam)
-    report = VerificationReport(
-        identity="commutation",
-        grid={"k_max": k_max, "m_max": m_max, "lambda": lam, "n_max": 4},
-    )
-    monos = [Poly.monomial(m) for m in range(m_max + 1)]
-    d, xd = OperatorWord.d_power(1), OperatorWord((ShiftedXD(Fraction(0)),))
-
-    for k in range(1, k_max + 1):
-        xk = OperatorWord.x_power(k)
-        d_xk, xk_d, xk1 = d * xk, xk * d, OperatorWord.x_power(k - 1)
-        xd_xk, xk_xd = xd * xk, xk * OperatorWord((ShiftedXD(Fraction(k)),))
-        for m, mono in enumerate(monos):
-            lhs = d_xk.apply(mono) - xk_d.apply(mono)
-            report.record({"relation": "commutator-d-xk", "k": k, "m": m}, lhs, xk1.apply(mono) * k)
-            lhs, rhs = xd_xk.apply(mono), xk_xd.apply(mono)
-            report.record({"relation": "xd-through-xk", "k": k, "m": m}, lhs, rhs)
-
-    # plain[i][m]: the length-i plain product applied to x^m, for the
-    # binomial expansion below.
-    plain = [[OperatorWord.shifted_product(i, lam).apply(mono) for mono in monos] for i in range(5)]
-    # Shift parameters a = extra - mult*lam cover the plain, integer-shifted,
-    # and lam-multiple-shifted products the recurrence derivations use.
-    shifts = [extra - mult * lam for extra in (0, 1, 2) for mult in (0, 1, 2)]
-    for a in shifts:
-        for n in range(5):
-            product = OperatorWord.shifted_product(n, lam, a)
-            for j in range(1, k_max + 1):
-                lhs_word = product * OperatorWord.x_power(j)
-                rhs_word = OperatorWord.x_power(j) * OperatorWord.shifted_product(n, lam, a + j)
-                for m, mono in enumerate(monos):
-                    report.record(
-                        {"relation": "shifted-product-through-xj", "j": j, "n": n, "shift": a, "m": m},
-                        lhs_word.apply(mono),
-                        rhs_word.apply(mono),
-                    )
-            scalars = [(i, binomial(n, i) * degenerate_falling_eval(a, n - i, lam)) for i in range(n + 1)]
-            scalars = [(i, c) for i, c in scalars if c != 0]
-            for m, mono in enumerate(monos):
-                report.record(
-                    {"relation": "shifted-product-binomial", "n": n, "shift": a, "m": m},
-                    product.apply(mono),
-                    Poly.sum([plain[i][m] * c for i, c in scalars]),
-                )
-    return report
+    grid = {"k_max": k_max, "m_max": m_max, "lambda": lam, "n_max": 4}
+    return run_grid("commutation", grid, _commutation_cells(k_max, m_max, lam))
 
 
-def factorization_check(total_max: int, lam) -> VerificationReport:
-    """Splitting a length-(m+n) plain product applied to e^x: the length-m
-    block and the (-m*lam)-shifted length-n block give the same result in
-    either order."""
-    _require_size(total_max=total_max)
-    lam = as_rational(lam)
-    report = VerificationReport(
-        identity="factorization", grid={"total_max": total_max, "lambda": lam}
-    )
+def _factorization_cells(total_max: int, lam: Fraction):
     one = ExpWeightedPoly(Poly.ONE)
     words = [OperatorWord.shifted_product(m, lam) for m in range(total_max + 1)]
     plain = [word.apply(one) for word in words]
@@ -278,23 +268,31 @@ def factorization_check(total_max: int, lam) -> VerificationReport:
         for m in range(total + 1):
             n = total - m
             shifted = OperatorWord.shifted_product(n, lam, -m * lam)
-            split = shifted.apply(plain[m]).factor
-            report.record({"m": m, "n": n, "order": "plain-first"}, split, direct)
+            yield {"m": m, "n": n, "order": "plain-first"}, shifted.apply(plain[m]).factor, direct
+            yield {"m": m, "n": n, "order": "shifted-first"}, words[m].apply(shifted.apply(one)).factor, direct
 
-            split = words[m].apply(shifted.apply(one)).factor
-            report.record({"m": m, "n": n, "order": "shifted-first"}, split, direct)
-    return report
+
+def factorization_check(total_max: int, lam) -> VerificationReport:
+    """Splitting a length-(m+n) plain product applied to e^x: the length-m
+    block and the (-m*lam)-shifted length-n block give the same result in
+    either order."""
+    _require_size(total_max=total_max)
+    lam = as_rational(lam)
+    grid = {"total_max": total_max, "lambda": lam}
+    return run_grid("factorization", grid, _factorization_cells(total_max, lam))
 
 
 def commutation_suite(k_max: int, m_max: int, lambdas, total_max: int = 10) -> VerificationReport:
     """commutation_checks plus factorization_check over a list of lam values."""
     _require_size(k_max=k_max, m_max=m_max, total_max=total_max)
     lambdas = [as_rational(v) for v in lambdas]
-    report = VerificationReport(
-        identity="commutation",
-        grid={"k_max": k_max, "m_max": m_max, "total_max": total_max, "lambdas": lambdas},
-    )
-    for lam in lambdas:
-        report.absorb(commutation_checks(k_max, m_max, lam), **{"lambda": lam})
-        report.absorb(factorization_check(total_max, lam), **{"lambda": lam, "relation": "factorization"})
-    return report
+
+    def cells():
+        for lam in lambdas:
+            for params, lhs, rhs in _commutation_cells(k_max, m_max, lam):
+                yield {"lambda": lam, **params}, lhs, rhs
+            for params, lhs, rhs in _factorization_cells(total_max, lam):
+                yield {"lambda": lam, "relation": "factorization", **params}, lhs, rhs
+
+    grid = {"k_max": k_max, "m_max": m_max, "total_max": total_max, "lambdas": lambdas}
+    return run_grid("commutation", grid, cells())

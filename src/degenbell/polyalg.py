@@ -186,13 +186,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        _require_size(n=n)
-        out = Poly.ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __call__(self, x0) -> Fraction:
         """Exact Horner evaluation on ints, with one Fraction for the result:
         at x0 = a/b the value is sum_i num[i] a^i b^(deg-i) over den b^deg."""

@@ -63,12 +63,6 @@ class VerificationReport:
         if lhs != rhs:
             self.failures.append(Failure(dict(params), lhs, rhs))
 
-    def absorb(self, sub: "VerificationReport", **extra) -> None:
-        """Fold a sub-report's counts and failures into this one."""
-        self.checked += sub.checked
-        for f in sub.failures:
-            self.failures.append(Failure({**extra, **f.params}, f.lhs, f.rhs))
-
     def to_json_dict(self) -> dict:
         return {
             "identity": self.identity,
@@ -77,3 +71,12 @@ class VerificationReport:
             "status": "pass" if self.passed else "fail",
             "failures": [f.to_json_dict() for f in self.failures],
         }
+
+
+def run_grid(identity: str, grid: dict, cells) -> VerificationReport:
+    """The report of one identity over its grid: each (params, lhs, rhs) cell
+    the suite yields is recorded in order."""
+    report = VerificationReport(identity, grid)
+    for params, lhs, rhs in cells:
+        report.record(params, lhs, rhs)
+    return report

@@ -259,14 +259,16 @@ def test_normal_order_echoes_max_m_only_when_given(capsys):
     assert doc["records"][0]["checked"] == 3 * 5
 
 
-def _run_python(*args):
+def _run_python(*args, close_stdout=False):
     src = str(Path(degenbell.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    # sh's ">&-" starts the interpreter with file descriptor 1 closed.
+    shell = ["sh", "-c", 'exec "$@" >&-', "sh"] if close_stdout else []
+    return subprocess.run([*shell, sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
-def _run_module(module, *argv):
-    return _run_python("-m", module, *argv)
+def _run_module(module, *argv, close_stdout=False):
+    return _run_python("-m", module, *argv, close_stdout=close_stdout)
 
 
 @pytest.mark.parametrize(
@@ -283,6 +285,22 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith(f"degenbell: error: cannot write {path}: ")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stirling", "--max-n", "2", "--lambda", "0"],
+        ["verify", "--identity", "spivey-bell", "--max-m", "1", "--max-n", "1"],
+    ],
+)
+def test_closed_stdout_is_a_usage_error(argv):
+    # Python sets sys.stdout to None when fd 1 is closed at start-up; that
+    # must read as a failed write (exit 2), not as a failing report (exit 1).
+    done = _run_module("degenbell", *argv, close_stdout=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("degenbell: error: cannot write stdout: ")
     assert "Traceback" not in done.stderr
 
 

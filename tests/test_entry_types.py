@@ -57,7 +57,6 @@ CASES = [
     (binomial, (BAD, 0)),
     (binomial, (3, BAD)),
     (Poly.monomial, (BAD,)),
-    (Poly.X.__pow__, (BAD,)),
     (degenerate_falling_product, (Poly.X, BAD, 0)),
     (falling_factorial, (BAD,)),
     (degenerate_falling_factorial, (BAD, 0)),

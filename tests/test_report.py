@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 from degenbell.polyalg import Poly
-from degenbell.report import Failure, VerificationReport, encode_params, encode_value
+from degenbell.report import Failure, VerificationReport, encode_params, encode_value, run_grid
 
 
 def test_encode_value_forms():
@@ -31,13 +31,22 @@ def test_report_pass_iff_no_failures():
     assert failure == Failure({"n": 1}, Poly.ONE, Poly.X)
 
 
-def test_report_absorb_merges_params():
-    parent = VerificationReport("outer", grid={})
-    child = VerificationReport("inner", grid={})
-    child.record({"m": 2}, 1, 2)
-    parent.absorb(child, **{"lambda": F(1, 2)})
-    assert parent.checked == 1
-    assert parent.failures[0].params == {"lambda": F(1, 2), "m": 2}
+def test_run_grid_records_every_cell_in_order():
+    lam = F(1, 2)
+    cells = [
+        ({"lambda": lam, "relation": "factorization", "m": 0}, Poly.ONE, Poly.ONE),
+        ({"n": 2, "r": 1, "lambda": lam, "m": 1}, Poly.X, Poly.ONE),
+        ({"m": 2}, F(1), F(1)),
+        ({"lambda": lam, "relation": "factorization", "m": 3}, 1, 2),
+    ]
+    report = run_grid("demo", {"lambdas": [lam]}, iter(cells))
+    assert (report.identity, report.grid, report.checked) == ("demo", {"lambdas": [lam]}, 4)
+    assert report.failures == [Failure(*cells[1]), Failure(*cells[3])]
+    assert [list(f.params) for f in report.failures] == [
+        ["n", "r", "lambda", "m"],
+        ["lambda", "relation", "m"],
+    ]
+    assert run_grid("empty", {}, iter(())).checked == 0
 
 
 def test_report_json_dict_excludes_elapsed_by_default():
